@@ -4,10 +4,11 @@
 // runs against the committed trajectory with bench/check_bench_regression.py.
 //
 // Naming convention: a `...Ref` benchmark re-implements the pre-conversion
-// code path (linear-scan / binary-search CDF / per-call CDF rebuild /
-// rescan-per-draw) so the speedup of the shipped path is measurable on the
-// same machine from one binary. Ref loops are kept identical to their
-// counterpart except for the draw itself.
+// code path (binary-search CDF / per-call CDF rebuild) so the speedup of
+// the shipped path is measurable on the same machine from one binary. Ref
+// loops are kept identical to their counterpart except for the draw
+// itself, and a Ref stays only while a ratio gate in
+// check_bench_regression.py reads it.
 
 #include <benchmark/benchmark.h>
 
@@ -58,8 +59,7 @@ size_t CdfDraw(const std::vector<double>& cdf, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-draw kernels: O(1) alias and O(log n) tree vs the O(log n)
-// binary-search CDF and O(n) linear scan they replaced.
+// Single-draw kernels: O(1) alias and O(log n) tree.
 // ---------------------------------------------------------------------------
 
 void BM_DrawAlias(benchmark::State& state) {
@@ -82,28 +82,9 @@ void BM_DrawTree(benchmark::State& state) {
 }
 BENCHMARK(BM_DrawTree)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_DrawCdfRef(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  std::vector<double> cdf = MakeCdf(MakeWeights(n, 1));
-  Rng rng(2);
-  for (auto _ : state) benchmark::DoNotOptimize(CdfDraw(cdf, rng));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DrawCdfRef)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
-
-void BM_DrawLinearRef(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  std::vector<double> w = MakeWeights(n, 1);
-  Rng rng(2);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.WeightedChoice(w));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DrawLinearRef)->Arg(1 << 10)->Arg(1 << 14);
-
 // ---------------------------------------------------------------------------
 // Without-replacement consumption (the TGAE support loop): TreeSampler
-// draw+update vs the pre-conversion discipline — linear-scan draw, zero the
-// slot, then a full rescan to decide whether mass remains.
+// draw, then zero the drawn leaf, until no mass remains.
 // ---------------------------------------------------------------------------
 
 void BM_WithoutReplacementTree(benchmark::State& state) {
@@ -121,30 +102,6 @@ void BM_WithoutReplacementTree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_WithoutReplacementTree)->Arg(1 << 12)->Arg(1 << 14);
-
-void BM_WithoutReplacementRescanRef(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  std::vector<double> w = MakeWeights(n, 3);
-  Rng rng(4);
-  for (auto _ : state) {
-    std::vector<double> remaining = w;
-    for (size_t draws = 0; draws < n; ++draws) {
-      size_t pick = sampling::WeightedPick(remaining, rng);
-      benchmark::DoNotOptimize(pick);
-      remaining[pick] = 0.0;
-      bool all_zero = true;
-      for (double x : remaining) {
-        if (x > 0.0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) break;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_WithoutReplacementRescanRef)->Arg(1 << 12)->Arg(1 << 14);
 
 // ---------------------------------------------------------------------------
 // Walk starts (TIGGER/TagGen per-walk path): the fitted alias table vs the

@@ -268,7 +268,7 @@ void BM_DecodeUntiedStridedRef(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows * n);
 }
-BENCHMARK(BM_DecodeUntiedStridedRef)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_DecodeUntiedStridedRef)->Arg(2048);
 
 void BM_DecodeUntiedPanel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -432,9 +432,10 @@ void BM_ArtifactSaveLoad(benchmark::State& state) {
 BENCHMARK(BM_ArtifactSaveLoad)->Arg(3)->Arg(6);
 
 /// Registers the dispatched-kernel benches only when a SIMD table is
-/// active: under TGSIM_FORCE_SCALAR (build or env) the dispatched and
-/// ScalarRef variants are the same code, so emitting the pair would feed
-/// the >=1.5x CI ratio gates a guaranteed-failing ~1.0 ratio.
+/// active: in a TGSIM_FORCE_SCALAR build (or on a CPU without AVX2) the
+/// dispatched and ScalarRef variants are the same code, so emitting the
+/// pair would feed the >=1.5x CI ratio gates a guaranteed-failing ~1.0
+/// ratio.
 void RegisterSimdKernelBenches() {
   if (nn::kernels::ActiveBackend() == nn::kernels::Backend::kScalar) return;
   benchmark::RegisterBenchmark("BM_KernelRowMax", BM_KernelRowMax)

@@ -49,7 +49,7 @@ HARD_RATIO_GATES = [
     # delta batch must beat refitting on the full stream (measured 5x+ on
     # TIGGER; gated at 2x for cross-hardware headroom).
     ("BM_UpdateTigger", "BM_FullRefitTiggerRef", 2.0),
-    # SIMD kernel-layer bars: the dispatched AVX2/NEON variants vs the
+    # SIMD kernel-layer bars: the dispatched AVX2 variants vs the
     # scalar reference loops. The dispatched benches only register when a
     # SIMD backend is active, so forced-scalar runs skip these gates.
     ("BM_KernelExpRowSum/4096", "BM_KernelExpRowSumScalarRef/4096", 1.5),

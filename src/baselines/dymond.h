@@ -34,10 +34,9 @@ class DymondGenerator : public TemporalGraphGenerator {
   }
 
  private:
-  /// Rebuilds activity_alias_ from node_activity_ (shared by Fit and the
-  /// LoadState fallback so a rebuilt sampler is bit-identical to the
-  /// fitted one; artifacts carry the alias parts so loads normally skip
-  /// this).
+  /// Rebuilds activity_alias_ from node_activity_ (shared by Fit, Update
+  /// and LoadState, so a loaded sampler is bit-identical to the fitted
+  /// one).
   void RebuildActivitySampler();
 
   ObservedShape shape_;

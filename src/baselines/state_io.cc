@@ -299,8 +299,7 @@ Status CheckScoreBlockNames(const storage::BlockFileReader& reader,
 }  // namespace
 
 Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
-                      std::istream& in, const std::string& path,
-                      int64_t legacy_topk) {
+                      std::istream& in, const std::string& path) {
   Result<serialize::ArchiveReader> parsed =
       serialize::ArchiveReader::Parse(in);
   if (!parsed.ok()) return parsed.status();
@@ -310,79 +309,58 @@ Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
   if (!s.ok()) return s;
 
   storage::ScoreStore loaded_store;
-  if (reader.HasSection("scores")) {
-    // Pre-sparse archive: dense n x n tensors, compacted on the way in
-    // with the configured truncation. FromDense is deterministic, so a
-    // legacy artifact keeps generating the same edges as one converted
-    // and re-saved.
+  Result<std::string> format = reader.GetString("score_store", "format");
+  if (!format.ok()) return format.status();
+  Result<int64_t> topk = reader.GetInt("score_store", "score_topk");
+  if (!topk.ok()) return topk.status();
+  if (format.value() == "inline") {
     loaded_store.Reset(loaded.num_timestamps);
     for (int t = 0; t < loaded.num_timestamps; ++t) {
       if (loaded.edges_per_timestamp[static_cast<size_t>(t)] == 0) continue;
-      Result<nn::Tensor> tensor =
-          reader.GetTensor("scores", ScoreFieldName(t));
-      if (!tensor.ok()) return tensor.status();
-      if (tensor.value().rows() != loaded.num_nodes ||
-          tensor.value().cols() != loaded.num_nodes)
-        return Status::InvalidArgument(
-            "corrupt archive: score matrix of timestamp " +
-            std::to_string(t) + " is not num_nodes x num_nodes");
-      loaded_store.Set(t, storage::SparseScoreRows::FromDense(tensor.value(),
-                                                              legacy_topk));
+      Result<storage::SparseScoreRows> rows = storage::ReadSparseScores(
+          reader, "sparse_scores", ScoreFieldName(t));
+      if (!rows.ok()) return rows.status();
+      loaded_store.Set(t, std::move(rows).value());
     }
-  } else {
-    Result<std::string> format = reader.GetString("score_store", "format");
-    if (!format.ok()) return format.status();
-    Result<int64_t> topk = reader.GetInt("score_store", "score_topk");
-    if (!topk.ok()) return topk.status();
-    if (format.value() == "inline") {
-      loaded_store.Reset(loaded.num_timestamps);
-      for (int t = 0; t < loaded.num_timestamps; ++t) {
-        if (loaded.edges_per_timestamp[static_cast<size_t>(t)] == 0) continue;
-        Result<storage::SparseScoreRows> rows = storage::ReadSparseScores(
-            reader, "sparse_scores", ScoreFieldName(t));
-        if (!rows.ok()) return rows.status();
-        loaded_store.Set(t, std::move(rows).value());
-      }
-    } else if (format.value() == "blocks") {
-      // ArchiveReader::Parse extracts the final "end" token with >> and
-      // leaves its trailing newline in the stream; the block writer took
-      // its base offset *after* that newline, so consume it here.
-      if (in.get() != '\n') {
-        return Status::InvalidArgument(
-            "corrupt archive: no score block payload after the state");
-      }
-      const auto base = in.tellg();
-      if (base < 0) {
-        return Status::IoError(
-            "corrupt archive: cannot locate the score block payload");
-      }
-      Result<storage::BlockFileReader> blocks = Status::Internal("unset");
-      if (path.empty()) {
-        // No backing file (in-memory stream): buffer the payload. Loses
-        // the out-of-core property but keeps the format readable.
-        std::istreambuf_iterator<char> first(in);
-        std::istreambuf_iterator<char> last;
-        std::string payload(first, last);
-        blocks = storage::BlockFileReader::FromBuffer(
-            payload, static_cast<int64_t>(base));
-      } else {
-        blocks = storage::BlockFileReader::OpenFile(
-            path, static_cast<int64_t>(base));
-        // The stream contract leaves `in` past the state either way.
-        in.seekg(0, std::ios::end);
-      }
-      if (!blocks.ok()) return blocks.status();
-      Status names = CheckScoreBlockNames(blocks.value(), loaded);
-      if (!names.ok()) return names;
-      Status sums = blocks.value().VerifyChecksums();
-      if (!sums.ok()) return sums;
-      loaded_store = storage::ScoreStore::FromBlockFile(
-          std::move(blocks).value(), loaded.num_timestamps);
-    } else {
+  } else if (format.value() == "blocks") {
+    // ArchiveReader::Parse extracts the final "end" token with >> and
+    // leaves its trailing newline in the stream; the block writer took
+    // its base offset *after* that newline, so consume it here.
+    if (in.get() != '\n') {
       return Status::InvalidArgument(
-          "corrupt archive: unknown score_store format '" + format.value() +
-          "'");
+          "corrupt archive: no score block payload after the state");
     }
+    const auto base = in.tellg();
+    if (base < 0) {
+      return Status::IoError(
+          "corrupt archive: cannot locate the score block payload");
+    }
+    Result<storage::BlockFileReader> blocks = Status::Internal("unset");
+    if (path.empty()) {
+      // No backing file (in-memory stream): buffer the payload. Loses
+      // the out-of-core property but keeps the format readable.
+      std::istreambuf_iterator<char> first(in);
+      std::istreambuf_iterator<char> last;
+      std::string payload(first, last);
+      blocks = storage::BlockFileReader::FromBuffer(
+          payload, static_cast<int64_t>(base));
+    } else {
+      blocks = storage::BlockFileReader::OpenFile(
+          path, static_cast<int64_t>(base));
+      // The stream contract leaves `in` past the state either way.
+      in.seekg(0, std::ios::end);
+    }
+    if (!blocks.ok()) return blocks.status();
+    Status names = CheckScoreBlockNames(blocks.value(), loaded);
+    if (!names.ok()) return names;
+    Status sums = blocks.value().VerifyChecksums();
+    if (!sums.ok()) return sums;
+    loaded_store = storage::ScoreStore::FromBlockFile(
+        std::move(blocks).value(), loaded.num_timestamps);
+  } else {
+    return Status::InvalidArgument(
+        "corrupt archive: unknown score_store format '" + format.value() +
+        "'");
   }
 
   for (int t = 0; t < loaded.num_timestamps; ++t) {

@@ -248,8 +248,6 @@ Status TiggerGenerator::SaveState(std::ostream& out) const {
   writer.WriteIntVector("node", nodes);
   writer.WriteIntVector("time", times);
   writer.WriteDoubleVector("weight", starts_->weights());
-  // Ship the fitted alias table so LoadState skips the O(n) rebuild.
-  serialize::WriteAliasTable(writer, "starts", starts_->alias());
   writer.BeginSection("params");
   serialize::WriteParams(writer, CollectParams());
   return writer.Finish();
@@ -275,26 +273,22 @@ Status TiggerGenerator::LoadState(std::istream& in) {
       nodes.value().empty())
     return Status::InvalidArgument(
         "corrupt archive: TIGGER start-distribution vectors disagree");
+  s = sampling::ValidateWeights(weights.value());
+  if (!s.ok())
+    return Status::InvalidArgument("corrupt archive: TIGGER start weights: " +
+                                   s.message());
   std::vector<graphs::TemporalNodeRef> occurrences;
   occurrences.reserve(nodes.value().size());
-  double total_weight = 0.0;
   for (size_t i = 0; i < nodes.value().size(); ++i) {
     if (nodes.value()[i] < 0 || nodes.value()[i] >= shape.num_nodes ||
-        times.value()[i] < 0 || times.value()[i] >= shape.num_timestamps ||
-        weights.value()[i] < 0.0)
+        times.value()[i] < 0 || times.value()[i] >= shape.num_timestamps)
       return Status::InvalidArgument(
           "corrupt archive: TIGGER start occurrence " + std::to_string(i) +
           " is out of range");
-    total_weight += weights.value()[i];
     occurrences.push_back(
         {static_cast<graphs::NodeId>(nodes.value()[i]),
          static_cast<graphs::Timestamp>(times.value()[i])});
   }
-  // Degree-proportional sampling needs positive mass; zero-mass data
-  // would CHECK-abort inside Sample instead of failing the load.
-  if (!(total_weight > 0.0))
-    return Status::InvalidArgument(
-        "corrupt archive: TIGGER start distribution has no weight mass");
 
   shape_ = std::move(shape);
   // Values come from the archive; the init rng only shapes the structures.
@@ -303,23 +297,10 @@ Status TiggerGenerator::LoadState(std::istream& in) {
   std::vector<nn::Var> params = CollectParams();
   s = serialize::ReadParamsInto(reader, "params", params);
   if (!s.ok()) return s;
-  if (reader.HasField("starts", "starts_prob")) {
-    Result<sampling::AliasTable> table =
-        serialize::ReadAliasTable(reader, "starts", "starts");
-    if (!table.ok()) return table.status();
-    if (table.value().size() != occurrences.size())
-      return Status::InvalidArgument(
-          "corrupt archive: TIGGER starts alias table disagrees with the "
-          "occurrence count");
-    starts_ = std::make_unique<graphs::InitialNodeSampler>(
-        std::move(occurrences), std::move(weights).value(),
-        std::move(table).value());
-  } else {
-    // Pre-alias artifact: rebuild from the weights (bit-identical — the
-    // alias build is deterministic and the weights round-trip exactly).
-    starts_ = std::make_unique<graphs::InitialNodeSampler>(
-        std::move(occurrences), std::move(weights).value());
-  }
+  // The alias table is derived state: the build is deterministic and the
+  // weights round-trip exactly, so the rebuilt sampler is the fitted one.
+  starts_ = std::make_unique<graphs::InitialNodeSampler>(
+      std::move(occurrences), std::move(weights).value());
   return Status::Ok();
 }
 

@@ -167,7 +167,7 @@ Status VgaeGenerator::LoadState(std::istream& in) {
 }
 
 Status VgaeGenerator::LoadState(std::istream& in, const std::string& path) {
-  return LoadScoreState(shape_, store_, in, path, config_.score_topk);
+  return LoadScoreState(shape_, store_, in, path);
 }
 
 int64_t VgaeGenerator::ResidentStateBytes() const {

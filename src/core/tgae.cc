@@ -523,21 +523,6 @@ int64_t TgaeGenerator::ResidentStateBytes() const {
   return total;
 }
 
-Status TgaeGenerator::SaveCheckpoint(const std::string& path) const {
-  if (params_.empty())
-    return Status::InvalidArgument("SaveCheckpoint requires a prior Fit()");
-  return serialize::SaveParameters(params_, path);
-}
-
-Status TgaeGenerator::LoadCheckpoint(const std::string& path) {
-  if (params_.empty())
-    return Status::InvalidArgument(
-        "LoadCheckpoint requires a prior Fit() to build the parameter "
-        "structures");
-  decode_panel_valid_ = false;
-  return serialize::LoadParameters(params_, path);
-}
-
 Status TgaeGenerator::SaveState(std::ostream& out) const {
   Status fitted = baselines::RequireFitted(support_ != nullptr, name());
   if (!fitted.ok()) return fitted;

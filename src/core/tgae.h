@@ -145,20 +145,11 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
 
   /// Serializes the complete fitted state — shape, generation support
   /// graph, trained parameters — so LoadState regenerates without the
-  /// training data (unlike the parameter-only checkpoint below).
+  /// training data. LoadState builds the model from this generator's
+  /// config, so the stored parameter shapes must match it.
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;
   int64_t ResidentStateBytes() const override;
-
-  /// Persists the trained parameters as a portable text checkpoint
-  /// (serialize/serialization.h). Requires a prior Fit().
-  Status SaveCheckpoint(const std::string& path) const;
-
-  /// Restores parameters saved by SaveCheckpoint into this model. The
-  /// model must already be Fit() on a graph of the same shape with the
-  /// same configuration (Fit builds the parameter structures; the
-  /// checkpoint overwrites the learned values).
-  Status LoadCheckpoint(const std::string& path);
 
  private:
   /// Encoded (and optionally decoded) rows for a batch of ego-graphs.

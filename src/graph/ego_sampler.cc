@@ -76,25 +76,12 @@ EgoGraph EgoGraphSampler::Sample(TemporalNodeRef center, Rng& rng) const {
 }
 
 InitialNodeSampler::InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                                       std::vector<double> weights,
-                                       bool uniform)
-    : uniform_(uniform),
+                                       std::vector<double> weights)
+    : uniform_(false),
       occurrences_(std::move(occurrences)),
       weights_(std::move(weights)) {
   TGSIM_CHECK_EQ(occurrences_.size(), weights_.size());
-  if (!uniform_ && !weights_.empty())
-    alias_ = sampling::AliasTable(weights_);
-}
-
-InitialNodeSampler::InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                                       std::vector<double> weights,
-                                       sampling::AliasTable table)
-    : uniform_(false),
-      occurrences_(std::move(occurrences)),
-      weights_(std::move(weights)),
-      alias_(std::move(table)) {
-  TGSIM_CHECK_EQ(occurrences_.size(), weights_.size());
-  TGSIM_CHECK_EQ(alias_.size(), weights_.size());
+  if (!weights_.empty()) alias_ = sampling::AliasTable(weights_);
 }
 
 InitialNodeSampler::InitialNodeSampler(const TemporalGraph* graph,

@@ -78,20 +78,14 @@ class InitialNodeSampler {
   InitialNodeSampler(const TemporalGraph* graph, int time_window,
                      bool uniform = false);
 
-  /// Rebuilds a sampler from a previously extracted distribution
-  /// (occurrences() / weights()): the serialization path of the fitted
-  /// generators. Sampling from the rebuilt sampler is bit-identical to
-  /// the graph-built original. Sizes must match and weights must carry
-  /// positive total mass unless `uniform` is set.
+  /// Builds a degree-weighted sampler from an explicit distribution: the
+  /// occurrences()/weights() an artifact stores, or the weights Update
+  /// merges. The alias build is deterministic, so a sampler rebuilt from a
+  /// graph-built one's weights draws bit-identically to it. Sizes must
+  /// match and weights must carry positive total mass (loaders check
+  /// untrusted weights with sampling::ValidateWeights first).
   InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                     std::vector<double> weights, bool uniform = false);
-
-  /// Like the data constructor, but adopts an alias table restored from an
-  /// artifact (serialize::ReadAliasTable) instead of rebuilding it. The
-  /// table's size must match the occurrence count.
-  InitialNodeSampler(std::vector<TemporalNodeRef> occurrences,
-                     std::vector<double> weights,
-                     sampling::AliasTable table);
+                     std::vector<double> weights);
 
   /// Draws n_s temporal nodes (with replacement across draws).
   std::vector<TemporalNodeRef> Sample(int n_s, Rng& rng) const;
@@ -105,7 +99,7 @@ class InitialNodeSampler {
   const std::vector<double>& weights() const { return weights_; }
 
   /// The alias table behind degree-weighted draws (empty when `uniform`),
-  /// exposed so fitted generators can serialize it with the artifact.
+  /// exposed for resident-size accounting.
   const sampling::AliasTable& alias() const { return alias_; }
 
  private:

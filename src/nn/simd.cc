@@ -1,8 +1,5 @@
 #include "nn/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "nn/kernels.h"
 
 namespace tgsim::nn::kernels {
@@ -39,12 +36,6 @@ const KernelOps kScalarOps = {
 
 Backend g_active_backend = Backend::kScalar;
 
-bool ForcedScalarByEnv() {
-  const char* v = std::getenv("TGSIM_FORCE_SCALAR");
-  if (v == nullptr || v[0] == '\0') return false;
-  return std::strcmp(v, "0") != 0;
-}
-
 }  // namespace
 
 namespace detail {
@@ -54,19 +45,10 @@ std::atomic<const KernelOps*> g_ops{nullptr};
 const KernelOps* ResolveOps() {
   const KernelOps* ops = &kScalarOps;
   Backend backend = Backend::kScalar;
-#if defined(TGSIM_FORCE_SCALAR_BUILD)
-  // Compile-time forced scalar: the ISA TUs are not even in the build.
-#else
-  if (!ForcedScalarByEnv()) {
 #if defined(TGSIM_HAVE_AVX2_KERNELS)
-    if (__builtin_cpu_supports("avx2")) {
-      ops = GetAvx2Ops();
-      backend = Backend::kAvx2;
-    }
-#elif defined(TGSIM_HAVE_NEON_KERNELS)
-    ops = GetNeonOps();
-    backend = Backend::kNeon;
-#endif
+  if (__builtin_cpu_supports("avx2")) {
+    ops = GetAvx2Ops();
+    backend = Backend::kAvx2;
   }
 #endif
   // Benign race: concurrent first calls resolve to the same table.
@@ -89,12 +71,6 @@ const KernelOps* OpsFor(Backend b) {
 #else
       return nullptr;
 #endif
-    case Backend::kNeon:
-#if defined(TGSIM_HAVE_NEON_KERNELS)
-      return GetNeonOps();
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -112,8 +88,6 @@ const char* BackendName(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "unknown";
 }

@@ -12,13 +12,11 @@ namespace tgsim::nn::kernels {
 /// the callers can produce (see kernels.h for the contract). Selection
 /// happens once, lazily, on first kernel call:
 ///
-///   1. TGSIM_FORCE_SCALAR_BUILD compiled in, or the TGSIM_FORCE_SCALAR
-///      environment variable set to anything but "0"/"" -> kScalar.
-///   2. x86-64 with AVX2 reported by the CPU and the AVX2 TU compiled in
+///   1. x86-64 with AVX2 reported by the CPU and the AVX2 TU compiled in
+///      (every x86-64 GCC/Clang build except -DTGSIM_FORCE_SCALAR=ON)
 ///      -> kAvx2.
-///   3. aarch64 with the NEON TU compiled in -> kNeon.
-///   4. Otherwise -> kScalar.
-enum class Backend { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+///   2. Otherwise -> kScalar.
+enum class Backend { kScalar = 0, kAvx2 = 1 };
 
 struct KernelOps {
   Scalar (*row_max)(const Scalar* x, int n);
@@ -89,7 +87,7 @@ Backend ActiveBackend();
 /// True if the given backend's TU is compiled into this binary.
 bool BackendCompiledIn(Backend b);
 
-/// "scalar" / "avx2" / "neon".
+/// "scalar" / "avx2".
 const char* BackendName(Backend b);
 
 /// Test hook: pin the dispatch table to a backend (must be compiled in).
@@ -101,9 +99,6 @@ Backend SetBackendForTest(Backend b);
 const KernelOps* GetScalarOps();
 #if defined(TGSIM_HAVE_AVX2_KERNELS)
 const KernelOps* GetAvx2Ops();
-#endif
-#if defined(TGSIM_HAVE_NEON_KERNELS)
-const KernelOps* GetNeonOps();
 #endif
 
 }  // namespace tgsim::nn::kernels

@@ -1,7 +1,7 @@
 #include "sampling/samplers.h"
 
+#include <cmath>
 #include <string>
-#include <utility>
 
 namespace tgsim::sampling {
 
@@ -61,29 +61,21 @@ AliasTable::AliasTable(std::span<const double> weights) {
   }
 }
 
-Result<AliasTable> AliasTable::FromParts(std::vector<double> prob,
-                                         std::vector<int64_t> alias) {
-  if (prob.size() != alias.size()) {
+Status ValidateWeights(std::span<const double> weights) {
+  double total = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (!std::isfinite(weights[i]))
+      return Status::InvalidArgument("weight " + std::to_string(i) +
+                                     " is not finite");
+    if (weights[i] < 0.0)
+      return Status::InvalidArgument("weight " + std::to_string(i) +
+                                     " is negative");
+    total += weights[i];
+  }
+  if (!(total > 0.0 && std::isfinite(total)))
     return Status::InvalidArgument(
-        "alias table parts disagree: " + std::to_string(prob.size()) +
-        " probabilities vs " + std::to_string(alias.size()) + " aliases");
-  }
-  const int64_t n = static_cast<int64_t>(prob.size());
-  for (size_t i = 0; i < prob.size(); ++i) {
-    if (!(prob[i] >= 0.0 && prob[i] <= 1.0)) {
-      return Status::InvalidArgument(
-          "alias table probability out of [0, 1] at slot " +
-          std::to_string(i));
-    }
-    if (alias[i] < 0 || alias[i] >= n) {
-      return Status::InvalidArgument("alias index out of range at slot " +
-                                     std::to_string(i));
-    }
-  }
-  AliasTable table;
-  table.prob_ = std::move(prob);
-  table.alias_ = std::move(alias);
-  return table;
+        "weights have no positive, finite total mass");
+  return Status::Ok();
 }
 
 void TreeSampler::Assign(std::span<const double> weights) {

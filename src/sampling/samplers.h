@@ -32,13 +32,6 @@ class AliasTable {
   /// unless `weights` is empty (which yields an empty table).
   explicit AliasTable(std::span<const double> weights);
 
-  /// Reassembles a table from previously extracted `prob()`/`alias()`
-  /// arrays — the artifact-load path that skips the O(n) rebuild. Returns
-  /// InvalidArgument on mismatched sizes, probabilities outside [0, 1], or
-  /// alias indices outside [0, n).
-  static Result<AliasTable> FromParts(std::vector<double> prob,
-                                      std::vector<int64_t> alias);
-
   size_t size() const { return prob_.size(); }
   bool empty() const { return prob_.empty(); }
 
@@ -50,7 +43,8 @@ class AliasTable {
     return rng.Uniform() < prob_[i] ? i : static_cast<size_t>(alias_[i]);
   }
 
-  /// Slot acceptance probabilities / alias targets, for serialization.
+  /// Slot acceptance probabilities / alias targets (resident-size
+  /// accounting and determinism tests read them).
   const std::vector<double>& prob() const { return prob_; }
   const std::vector<int64_t>& alias() const { return alias_; }
 
@@ -58,6 +52,14 @@ class AliasTable {
   std::vector<double> prob_;
   std::vector<int64_t> alias_;
 };
+
+/// Ok when `weights` can build an AliasTable: every entry finite and
+/// non-negative, and a positive, finite total. Otherwise InvalidArgument
+/// naming the first offending entry. Artifact loaders run this on the
+/// weights they read before rebuilding a table, so corrupt weights fail
+/// the load instead of CHECK-aborting in the build (zero mass) or drawing
+/// from a table poisoned by inf/NaN.
+Status ValidateWeights(std::span<const double> weights);
 
 /// Complete-binary-tree prefix-sum sampler: O(n) build, O(log n) draw and
 /// O(log n) single-weight update.

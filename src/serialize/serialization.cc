@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <istream>
 #include <locale>
 #include <ostream>
@@ -13,8 +12,6 @@ namespace tgsim::serialize {
 namespace {
 
 constexpr char kArchiveMagic[] = "tgsim-archive";
-constexpr char kCheckpointMagic[] = "tgsim-checkpoint";
-constexpr int kCheckpointVersion = 1;
 
 /// Field name of the i-th parameter tensor ("p0", "p1", ...). Built by
 /// appending (not `"p" + std::to_string(i)`) to sidestep a GCC 12
@@ -263,15 +260,6 @@ Result<ArchiveReader> ArchiveReader::Parse(std::istream& in) {
       "truncated archive: missing 'end' terminator");
 }
 
-bool ArchiveReader::HasSection(const std::string& section) const {
-  return sections_.count(section) != 0;
-}
-
-bool ArchiveReader::HasField(const std::string& section,
-                             const std::string& name) const {
-  return Find(section, name) != nullptr;
-}
-
 std::vector<std::string> ArchiveReader::SectionNames() const {
   return section_order_;
 }
@@ -375,25 +363,6 @@ Status ArchiveReader::ReadTensorInto(const std::string& section,
   return Status::Ok();
 }
 
-void WriteAliasTable(ArchiveWriter& writer, const std::string& prefix,
-                     const sampling::AliasTable& table) {
-  writer.WriteDoubleVector(prefix + "_prob", table.prob());
-  writer.WriteIntVector(prefix + "_alias", table.alias());
-}
-
-Result<sampling::AliasTable> ReadAliasTable(const ArchiveReader& reader,
-                                            const std::string& section,
-                                            const std::string& prefix) {
-  Result<std::vector<double>> prob =
-      reader.GetDoubleVector(section, prefix + "_prob");
-  if (!prob.ok()) return prob.status();
-  Result<std::vector<int64_t>> alias =
-      reader.GetIntVector(section, prefix + "_alias");
-  if (!alias.ok()) return alias.status();
-  return sampling::AliasTable::FromParts(std::move(prob).value(),
-                                         std::move(alias).value());
-}
-
 void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params) {
   writer.WriteInt("count", static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i)
@@ -415,62 +384,6 @@ Status ReadParamsInto(const ArchiveReader& reader,
     Status s = reader.ReadTensorInto(section, ParamFieldName(i),
                                      params[i].mutable_value());
     if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-Status SaveParameters(const std::vector<nn::Var>& params,
-                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::IoError("cannot write: " + path);
-  // Classic locale: under e.g. de_DE.UTF-8 the global locale renders
-  // doubles with ',' separators, which silently corrupts the checkpoint.
-  out.imbue(std::locale::classic());
-  out << kCheckpointMagic << " " << kCheckpointVersion << "\n";
-  out << params.size() << "\n";
-  out.precision(17);
-  for (const nn::Var& p : params) {
-    const nn::Tensor& t = p.value();
-    out << t.rows() << " " << t.cols();
-    for (int64_t i = 0; i < t.size(); ++i) out << " " << t.data()[i];
-    out << "\n";
-  }
-  if (!out.good()) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
-Status LoadParameters(std::vector<nn::Var>& params, const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open: " + path);
-  in.imbue(std::locale::classic());
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != kCheckpointMagic)
-    return Status::InvalidArgument("not a tgsim checkpoint: " + path);
-  if (version != kCheckpointVersion)
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  size_t count = 0;
-  if (!(in >> count)) return Status::InvalidArgument("truncated header");
-  if (count != params.size())
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(count) + " tensors, model has " +
-        std::to_string(params.size()) +
-        " — was the model built with the same configuration?");
-  for (nn::Var& p : params) {
-    int rows = 0, cols = 0;
-    if (!(in >> rows >> cols))
-      return Status::InvalidArgument("truncated tensor header");
-    nn::Tensor& t = p.mutable_value();
-    if (rows != t.rows() || cols != t.cols())
-      return Status::InvalidArgument(
-          "tensor shape mismatch: checkpoint " + std::to_string(rows) + "x" +
-          std::to_string(cols) + " vs model " + std::to_string(t.rows()) +
-          "x" + std::to_string(t.cols()));
-    for (int64_t i = 0; i < t.size(); ++i) {
-      if (!ReadDoubleToken(in, t.data()[i]))
-        return Status::InvalidArgument("truncated tensor data");
-    }
   }
   return Status::Ok();
 }

@@ -12,13 +12,13 @@
 #include "common/status.h"
 #include "nn/autograd.h"
 #include "nn/tensor.h"
-#include "sampling/samplers.h"
 
 /// Model-artifact serialization (serialize tier; see ROADMAP layering:
-/// common -> ... -> nn -> serialize -> baselines -> core). The sectioned
-/// archive below is the on-disk format of every generator's fitted state,
-/// so a simulator can be trained once and shipped as a self-describing
-/// artifact that regenerates graphs without the training data.
+/// common -> ... -> nn -> serialize -> storage -> baselines -> core).
+/// The sectioned archive below is the on-disk format of every generator's
+/// fitted state, so a simulator can be trained once and shipped as a
+/// self-describing artifact that regenerates graphs without the training
+/// data.
 
 namespace tgsim::serialize {
 
@@ -98,8 +98,6 @@ class ArchiveReader {
  public:
   static Result<ArchiveReader> Parse(std::istream& in);
 
-  bool HasSection(const std::string& section) const;
-  bool HasField(const std::string& section, const std::string& name) const;
   std::vector<std::string> SectionNames() const;
 
   /// Typed getters: NotFound for a missing section/field, InvalidArgument
@@ -145,24 +143,6 @@ class ArchiveReader {
   std::map<std::string, std::map<std::string, Field>> sections_;
 };
 
-/// Writes an alias table's slot arrays as two vector fields of the
-/// archive's current section (`<prefix>_prob` / `<prefix>_alias`), so a
-/// fitted generator's fixed sampling distribution ships inside the
-/// artifact and LoadState can skip the O(n) rebuild. Pair with
-/// ReadAliasTable.
-void WriteAliasTable(ArchiveWriter& writer, const std::string& prefix,
-                     const sampling::AliasTable& table);
-
-/// Reassembles an alias table written by WriteAliasTable. NotFound when
-/// the fields are absent (older artifacts — callers fall back to
-/// rebuilding from the serialized weights), InvalidArgument on corrupt
-/// slot data. Because the alias build is deterministic and the archive
-/// round-trips doubles exactly, a loaded table draws bit-identically to
-/// one rebuilt from the weights.
-Result<sampling::AliasTable> ReadAliasTable(const ArchiveReader& reader,
-                                            const std::string& section,
-                                            const std::string& prefix);
-
 /// Writes a parameter set as consecutive tensor fields (`count`, `p0`,
 /// `p1`, ...) of the archive's current section. Pair with ReadParamsInto.
 void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params);
@@ -173,25 +153,6 @@ void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params);
 Status ReadParamsInto(const ArchiveReader& reader,
                       const std::string& section,
                       std::vector<nn::Var>& params);
-
-/// Portable text checkpoint for a trained parameter set (the legacy
-/// single-purpose format behind TgaeGenerator::SaveCheckpoint; the
-/// sectioned archive above is the general mechanism).
-///
-/// Format (line-oriented, whitespace-separated):
-///   tgsim-checkpoint 1
-///   <num_tensors>
-///   <rows> <cols> v v v ...      (one line per tensor, row-major, %.17g)
-///
-/// The parameter *order and shapes* are the contract: loading into a model
-/// built with a different configuration is rejected with InvalidArgument.
-/// Both directions imbue the classic "C" locale so checkpoints round-trip
-/// under non-C process locales.
-Status SaveParameters(const std::vector<nn::Var>& params,
-                      const std::string& path);
-
-/// Loads a checkpoint into an *existing* parameter set (shapes must match).
-Status LoadParameters(std::vector<nn::Var>& params, const std::string& path);
 
 }  // namespace tgsim::serialize
 

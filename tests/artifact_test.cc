@@ -10,6 +10,7 @@
 #include "datasets/synthetic.h"
 #include "eval/registry.h"
 #include "gtest/gtest.h"
+#include "sampling/samplers.h"
 #include "serialize/serialization.h"
 
 namespace tgsim::eval {
@@ -97,6 +98,137 @@ TEST(ArtifactAblationTest, TgaeAblationVariantsRoundTripToo) {
   // knob (non-probabilistic decoder, chain ego-graphs).
   RoundTripMethod("TGAE-p");
   RoundTripMethod("TGAE-g");
+}
+
+// ---------------------------------------------------------------------------
+// Fitted alias tables are derived state: TIGGER and DYMOND store only the
+// sampling weights, and LoadState rebuilds the table from them.
+// ---------------------------------------------------------------------------
+
+/// Fits `method` with the fast preset on a small DBLP mimic and returns
+/// its saved state.
+std::string FittedState(const std::string& method,
+                        baselines::TemporalGraphGenerator& gen) {
+  graphs::TemporalGraph observed = datasets::MakeMimicByName("DBLP", 0.03, 21);
+  Rng rng(17);
+  gen.Fit(observed, rng);
+  std::stringstream state;
+  EXPECT_TRUE(gen.SaveState(state).ok()) << method;
+  return state.str();
+}
+
+config::ParamMap FastPreset() {
+  config::ParamMap params;
+  params.Override("preset", "fast");
+  return params;
+}
+
+/// The layout older states carried: `state` plus the fields
+/// `<prefix>_prob`/`<prefix>_alias` of the alias table built from the
+/// weight field `section.weight_field`, written right after that field.
+std::string WithStoredAliasTable(const std::string& state,
+                                 const std::string& section,
+                                 const std::string& weight_field,
+                                 const std::string& prefix) {
+  std::stringstream in(state);
+  Result<serialize::ArchiveReader> parsed =
+      serialize::ArchiveReader::Parse(in);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sampling::AliasTable table(
+      parsed.value().GetDoubleVector(section, weight_field).value());
+  std::stringstream fields;
+  serialize::ArchiveWriter writer(fields);
+  writer.BeginSection(section);
+  writer.WriteDoubleVector(prefix + "_prob", table.prob());
+  writer.WriteIntVector(prefix + "_alias", table.alias());
+  EXPECT_TRUE(writer.Finish().ok());
+  // Keep the two field lines: drop the header, section line and `end`.
+  std::string lines = fields.str();
+  const std::string section_line = "section " + section + "\n";
+  lines = lines.substr(lines.find(section_line) + section_line.size());
+  lines = lines.substr(0, lines.rfind("end"));
+  const size_t field = state.find("vf64 " + weight_field + " ");
+  EXPECT_NE(field, std::string::npos);
+  const size_t after = state.find('\n', field) + 1;
+  return state.substr(0, after) + lines + state.substr(after);
+}
+
+/// Loads `method`'s state as saved and with a stored alias table, and
+/// pins that both generate the fitted original's edges.
+void ExpectStoredAliasTableIsIgnored(const std::string& method,
+                                     const std::string& section,
+                                     const std::string& weight_field,
+                                     const std::string& prefix) {
+  auto fitted = std::move(MakeGenerator(method, FastPreset())).value();
+  const std::string state = FittedState(method, *fitted);
+  EXPECT_EQ(state.find(prefix + "_prob"), std::string::npos)
+      << "states store only the weights";
+  const std::string with_table =
+      WithStoredAliasTable(state, section, weight_field, prefix);
+  ASSERT_NE(with_table.find(prefix + "_alias"), std::string::npos);
+
+  Rng want_rng(99);
+  const graphs::TemporalGraph want = fitted->Generate(want_rng);
+  for (const std::string& bytes : {state, with_table}) {
+    auto loaded = std::move(MakeGenerator(method, FastPreset())).value();
+    std::stringstream in(bytes);
+    Status s = loaded->LoadState(in);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    Rng rng(99);
+    ExpectGraphsIdentical(want, loaded->Generate(rng), method);
+  }
+}
+
+TEST(DerivedAliasTableTest, DymondStoredTableLoadsToTheSameEdges) {
+  ExpectStoredAliasTableIsIgnored("DYMOND", "motifs", "node_activity",
+                                  "activity");
+}
+
+TEST(DerivedAliasTableTest, TiggerStoredTableLoadsToTheSameEdges) {
+  ExpectStoredAliasTableIsIgnored("TIGGER", "starts", "weight", "starts");
+}
+
+TEST(DerivedAliasTableTest, DymondZeroActivityMassIsInvalidArgument) {
+  // Regression: rebuilding the alias table from zero total mass
+  // CHECK-aborted the process inside LoadState.
+  std::stringstream state;
+  {
+    serialize::ArchiveWriter writer(state);
+    writer.BeginSection("shape");
+    writer.WriteInt("num_nodes", 3);
+    writer.WriteInt("num_timestamps", 1);
+    writer.WriteIntVector("edges_per_timestamp", {0});
+    writer.BeginSection("motifs");
+    writer.WriteIntVector("triangles", {0});
+    writer.WriteIntVector("wedges", {0});
+    writer.WriteIntVector("singles", {0});
+    writer.WriteDoubleVector("node_activity", {0.0, 0.0, 0.0});
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto gen = std::move(MakeGenerator("DYMOND")).value();
+  Status s = gen->LoadState(state);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("node_activity"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(DerivedAliasTableTest, TiggerInfiniteStartWeightIsInvalidArgument) {
+  // Regression: the start-weight check let an inf weight through, and the
+  // rebuilt table drew from inf/inf = NaN slot probabilities.
+  auto fitted = std::move(MakeGenerator("TIGGER", FastPreset())).value();
+  std::string state = FittedState("TIGGER", *fitted);
+  const std::string key = "vf64 weight ";
+  const size_t count = state.find(key);
+  ASSERT_NE(count, std::string::npos);
+  const size_t first = state.find(' ', count + key.size()) + 1;
+  state.replace(first, state.find_first_of(" \n", first) - first, "inf");
+
+  auto gen = std::move(MakeGenerator("TIGGER", FastPreset())).value();
+  std::stringstream in(state);
+  Status s = gen->LoadState(in);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.message().find("not finite"), std::string::npos)
+      << s.ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // can produce — lengths 1..257 (every lane-remainder case), denormals,
 // signed zeros, extreme magnitudes, and the ExpD clamp edges. Under a
 // TGSIM_FORCE_SCALAR build the active table IS the scalar table and the
-// sweep degenerates to a self-check; on AVX2/NEON hosts it pins the SIMD
+// sweep degenerates to a self-check; on AVX2 hosts it pins the SIMD
 // variants lane for lane.
 #include <cmath>
 #include <cstdint>

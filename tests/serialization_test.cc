@@ -6,6 +6,8 @@
 #include <locale>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/tgae.h"
 #include "datasets/io.h"
@@ -17,8 +19,6 @@ namespace {
 
 using serialize::ArchiveReader;
 using serialize::ArchiveWriter;
-using serialize::LoadParameters;
-using serialize::SaveParameters;
 
 /// Gives each test its own scratch directory under the gtest temp root and
 /// removes it afterwards, so round-trip tests never observe each other's
@@ -45,65 +45,7 @@ class TempDirFixture : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-class SerializationTest : public TempDirFixture {};
 class TemporalGraphIoTest : public TempDirFixture {};
-class TgaeCheckpointTest : public TempDirFixture {};
-
-TEST_F(SerializationTest, RoundTripsRawParameters) {
-  Rng rng(1);
-  std::vector<nn::Var> params = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 3, 4)),
-      nn::Var::Param(nn::Tensor::Randn(rng, 1, 7)),
-  };
-  std::string path = Path("params.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-
-  Rng rng2(2);
-  std::vector<nn::Var> fresh = {
-      nn::Var::Param(nn::Tensor::Randn(rng2, 3, 4)),
-      nn::Var::Param(nn::Tensor::Randn(rng2, 1, 7)),
-  };
-  ASSERT_TRUE(LoadParameters(fresh, path).ok());
-  for (size_t i = 0; i < params.size(); ++i)
-    EXPECT_DOUBLE_EQ(
-        (params[i].value() - fresh[i].value()).MaxAbs(), 0.0);
-}
-
-TEST_F(SerializationTest, RejectsCountMismatch) {
-  Rng rng(3);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))};
-  std::string path = Path("count.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  std::vector<nn::Var> two = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2)),
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))};
-  Status s = LoadParameters(two, path);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, RejectsShapeMismatch) {
-  Rng rng(4);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))};
-  std::string path = Path("shape.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  std::vector<nn::Var> other = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 3, 2))};
-  EXPECT_EQ(LoadParameters(other, path).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(SerializationTest, RejectsGarbageFile) {
-  std::string path = Path("garbage.ckpt");
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("not a checkpoint at all\n", f);
-  fclose(f);
-  Rng rng(5);
-  std::vector<nn::Var> params = {nn::Var::Param(nn::Tensor::Randn(rng, 1, 1))};
-  EXPECT_EQ(LoadParameters(params, path).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(LoadParameters(params, "/nonexistent.ckpt").code(),
-            StatusCode::kIoError);
-}
 
 // ---------------------------------------------------------------------------
 // Sectioned archive (ArchiveWriter / ArchiveReader).
@@ -229,9 +171,68 @@ TEST(ArchiveTest, RejectsBadMagicVersionMismatchAndTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// Locale independence: checkpoints and archives must round-trip under a
-// comma-decimal global locale (regression: un-imbued streams rendered 0.5
-// as "0,5", corrupting the file).
+// Parameter sets (WriteParams / ReadParamsInto).
+// ---------------------------------------------------------------------------
+
+/// Writes `params` as section "params" and parses the archive back.
+ArchiveReader ParamsArchive(const std::vector<nn::Var>& params) {
+  std::stringstream stream;
+  ArchiveWriter writer(stream);
+  writer.BeginSection("params");
+  serialize::WriteParams(writer, params);
+  EXPECT_TRUE(writer.Finish().ok());
+  Result<ArchiveReader> parsed = ArchiveReader::Parse(stream);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
+TEST(ParamsArchiveTest, RoundTripsIntoSameShapedParameters) {
+  Rng rng(1);
+  std::vector<nn::Var> params = {
+      nn::Var::Param(nn::Tensor::Randn(rng, 3, 4)),
+      nn::Var::Param(nn::Tensor::Randn(rng, 1, 7)),
+  };
+  ArchiveReader reader = ParamsArchive(params);
+
+  Rng rng2(2);
+  std::vector<nn::Var> fresh = {
+      nn::Var::Param(nn::Tensor::Randn(rng2, 3, 4)),
+      nn::Var::Param(nn::Tensor::Randn(rng2, 1, 7)),
+  };
+  ASSERT_TRUE(serialize::ReadParamsInto(reader, "params", fresh).ok());
+  for (size_t i = 0; i < params.size(); ++i)
+    EXPECT_DOUBLE_EQ(
+        (params[i].value() - fresh[i].value()).MaxAbs(), 0.0);
+}
+
+TEST(ParamsArchiveTest, RejectsCountMismatch) {
+  Rng rng(3);
+  ArchiveReader reader =
+      ParamsArchive({nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))});
+  std::vector<nn::Var> two = {
+      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2)),
+      nn::Var::Param(nn::Tensor::Randn(rng, 2, 2))};
+  Status s = serialize::ReadParamsInto(reader, "params", two);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("has 1 tensors"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(ParamsArchiveTest, RejectsShapeMismatch) {
+  Rng rng(4);
+  ArchiveReader reader =
+      ParamsArchive({nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))});
+  std::vector<nn::Var> other = {
+      nn::Var::Param(nn::Tensor::Randn(rng, 3, 2))};
+  Status s = serialize::ReadParamsInto(reader, "params", other);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("2x3"), std::string::npos) << s.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Locale independence: archives must round-trip under a comma-decimal
+// global locale (regression: un-imbued streams rendered 0.5 as "0,5",
+// corrupting the file).
 // ---------------------------------------------------------------------------
 
 /// Installs a comma-decimal global locale for the test's scope, if the
@@ -264,25 +265,6 @@ class CommaLocaleScope {
   bool installed_ = false;
   std::locale previous_;
 };
-
-TEST_F(SerializationTest, CheckpointRoundTripsUnderCommaDecimalLocale) {
-  CommaLocaleScope comma_locale;
-  if (!comma_locale.installed())
-    GTEST_SKIP() << "no comma-decimal locale available on this host";
-
-  Rng rng(8);
-  std::vector<nn::Var> params = {
-      nn::Var::Param(nn::Tensor::Randn(rng, 2, 3))};
-  std::string path = Path("comma.ckpt");
-  ASSERT_TRUE(SaveParameters(params, path).ok());
-  Rng rng2(9);
-  std::vector<nn::Var> fresh = {
-      nn::Var::Param(nn::Tensor::Randn(rng2, 2, 3))};
-  ASSERT_TRUE(LoadParameters(fresh, path).ok());
-  for (int64_t i = 0; i < params[0].value().size(); ++i)
-    EXPECT_DOUBLE_EQ(fresh[0].value().data()[i],
-                     params[0].value().data()[i]);
-}
 
 TEST(ArchiveTest, RoundTripsUnderCommaDecimalLocale) {
   CommaLocaleScope comma_locale;
@@ -367,47 +349,16 @@ TEST_F(TemporalGraphIoTest, EmptyGraphSurvivesTwoTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// TGAE checkpoints.
+// TGAE fitted state: the stored parameters must fit the loading model.
 // ---------------------------------------------------------------------------
 
-TEST_F(TgaeCheckpointTest, TrainedModelRoundTripsThroughDisk) {
-  graphs::TemporalGraph observed =
-      datasets::MakeMimicByName("DBLP", 0.05, 77);
-  TgaeConfig cfg;
-  cfg.epochs = 4;
-  cfg.batch_centers = 8;
-
-  // Train model A and checkpoint it.
-  TgaeGenerator a(cfg);
-  Rng rng_a(10);
-  a.Fit(observed, rng_a);
-  std::string path = Path("tgae.ckpt");
-  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
-
-  // Build model B with a *different* initialization, then load A's weights:
-  // generation with the same sampling seed must now match exactly.
-  TgaeGenerator b(cfg);
-  Rng rng_b(999);
-  b.Fit(observed, rng_b);
-  ASSERT_TRUE(b.LoadCheckpoint(path).ok());
-
-  Rng g1(5), g2(5);
-  graphs::TemporalGraph out_a = a.Generate(g1);
-  graphs::TemporalGraph out_b = b.Generate(g2);
-  ASSERT_EQ(out_a.num_edges(), out_b.num_edges());
-  for (size_t i = 0; i < out_a.edges().size(); ++i)
-    EXPECT_TRUE(out_a.edges()[i] == out_b.edges()[i]);
-}
-
-TEST_F(TgaeCheckpointTest, SaveBeforeFitIsAnError) {
+TEST(TgaeStateTest, SaveBeforeFitIsInvalidArgument) {
   TgaeGenerator gen;
-  EXPECT_EQ(gen.SaveCheckpoint(Path("x.ckpt")).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(gen.LoadCheckpoint(Path("x.ckpt")).code(),
-            StatusCode::kInvalidArgument);
+  std::stringstream stream;
+  EXPECT_EQ(gen.SaveState(stream).code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(TgaeCheckpointTest, MismatchedConfigIsRejected) {
+TEST(TgaeStateTest, LoadIntoDifferentDimensionsIsInvalidArgument) {
   graphs::TemporalGraph observed =
       datasets::MakeMimicByName("DBLP", 0.05, 77);
   TgaeConfig small;
@@ -416,16 +367,15 @@ TEST_F(TgaeCheckpointTest, MismatchedConfigIsRejected) {
   TgaeGenerator a(small);
   Rng rng(1);
   a.Fit(observed, rng);
-  std::string path = Path("small.ckpt");
-  ASSERT_TRUE(a.SaveCheckpoint(path).ok());
+  std::stringstream state;
+  ASSERT_TRUE(a.SaveState(state).ok());
 
   TgaeConfig big = small;
   big.embedding_dim = 16;
   big.hidden_dim = 16;
   TgaeGenerator b(big);
-  Rng rng2(2);
-  b.Fit(observed, rng2);
-  EXPECT_FALSE(b.LoadCheckpoint(path).ok());
+  Status s = b.LoadState(state);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 }  // namespace
