@@ -95,13 +95,14 @@ BENCHMARK(BM_ParallelForOverhead)
     ->Args({1 << 21, 1 << 15})
     ->UseRealTime();
 
-/// Generation-decode cost, dense vs sparse (the PR's sparse-decoder
-/// acceptance measurement): one chunk of `rows` decoded rows against an
-/// n-node decoder weight. Each row's support holds 8 columns drawn from a
-/// hub pool of n/10 nodes, mirroring the skew of real temporal
-/// neighborhoods; the sparse path scores only the support-union columns
-/// (GatherCols + narrow matmul), the dense path the full n-wide row.
-/// Both paths finish with the per-row support normalization Generate uses.
+/// Candidate-set vs dense decode cost: one chunk of `rows` decoded rows
+/// against an n-node decoder weight. Each row's support holds 8 columns
+/// drawn from a hub pool of n/10 nodes, mirroring the skew of real
+/// temporal neighborhoods; the sparse path scores only the support-union
+/// columns (GatherCols + narrow matmul, the sampled-softmax decode), the
+/// dense path the full n-wide row. Both finish with a per-row support
+/// normalization. Generate no longer uses either: it scores each support
+/// column with one dot product.
 struct DecodeFixture {
   nn::Var rows_h, w, b;
   std::vector<std::vector<int>> supports;

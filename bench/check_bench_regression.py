@@ -6,7 +6,12 @@ Usage: check_bench_regression.py COMMITTED.json FRESH.json \
 
 Positional arguments are (committed, fresh) file pairs — one per
 benchmark suite (BENCH_generation.json, BENCH_kernels.json,
-BENCH_storage.json, BENCH_update.json). Two checks:
+BENCH_storage.json, BENCH_update.json). Three checks:
+
+0. Baseline host (per committed file): its Google Benchmark context must
+   report num_cpus >= 2. A baseline recorded on one CPU carries
+   meaningless thread sweeps (BM_MatMulThreads), so it is refused rather
+   than compared against.
 
 1. Trajectory (per pair): every benchmark present in the committed file
    must exist in the fresh run and reach at least R (default 0.25) of its
@@ -41,6 +46,9 @@ import argparse
 import json
 import sys
 
+# Fewest CPUs a committed baseline's recording host may have had.
+MIN_BASELINE_CPUS = 2
+
 HARD_RATIO_GATES = [
     ("BM_DymondDrawLoopAlias/1048576", "BM_DymondDrawLoopCdfRef/1048576", 5.0),
     ("BM_WalkStartsAlias", "BM_WalkStartsCdfRebuildRef", 5.0),
@@ -57,6 +65,11 @@ HARD_RATIO_GATES = [
     # Transpose-panel untied decode vs the old stride-n column walk.
     ("BM_DecodeUntiedPanel/2048", "BM_DecodeUntiedStridedRef/2048", 2.0),
 ]
+
+
+def baseline_cpus(path):
+    with open(path) as f:
+        return json.load(f).get("context", {}).get("num_cpus", 0)
 
 
 def load_throughput(path):
@@ -86,9 +99,16 @@ def main():
     failures = []
     all_fresh = {}
     for committed_path, fresh_path in zip(args.files[::2], args.files[1::2]):
-        committed = load_throughput(committed_path)
         fresh = load_throughput(fresh_path)
         all_fresh.update(fresh)
+        cpus = baseline_cpus(committed_path)
+        if cpus < MIN_BASELINE_CPUS:
+            failures.append(
+                f"{committed_path}: recorded with num_cpus={cpus}; re-record "
+                f"it with bench/run_bench.sh on a host with at least "
+                f"{MIN_BASELINE_CPUS} CPUs")
+            continue
+        committed = load_throughput(committed_path)
         if not committed:
             failures.append(f"no benchmark entries in {committed_path}")
             continue

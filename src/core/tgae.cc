@@ -15,10 +15,9 @@ namespace tgsim::core {
 
 namespace {
 
-/// Insertion-ordered node -> dense-column map for the sparse decode paths:
-/// `Add` assigns the next column to a first-seen node, `slot_of` answers
-/// lookups in O(1). Shared by the training candidate set and the
-/// generation support union.
+/// Insertion-ordered node -> dense-column map for the sampled-softmax
+/// training candidate set: `Add` assigns the next column to a first-seen
+/// node, `slot_of` answers lookups in O(1).
 class CandidateSet {
  public:
   explicit CandidateSet(int num_nodes)
@@ -94,8 +93,8 @@ void TgaeConfig::DefineParams(config::ParamBinder& binder) {
   binder.Bind("tie_decoder", &tie_decoder,
               "tie W_dec to the node embedding table");
   binder.Bind("sparse_decoder", &sparse_decoder,
-              "candidate-set decode: sampled-softmax training, "
-              "support-union generation (dense n-wide decode when false)");
+              "sampled-softmax training loss over a candidate set (dense "
+              "n-wide loss when false); generation is unaffected");
   binder.Bind("negative_samples", &negative_samples,
               "shared negative samples per batch for the sampled-softmax "
               "loss (sparse_decoder only)");
@@ -213,13 +212,13 @@ TgaeGenerator::DecodedBatch TgaeGenerator::Encode(
   }
 
   // Variational head over the Z node set (Alg. 2: MLP_mu / MLP_sigma).
+  // The posterior mean needs no MLP_sigma, so only a stochastic (training)
+  // encode runs it.
   nn::Var x_z = InputFeatures(z_nodes);
   batch.mu = mlp_mu_->Forward(x_z);
-  if (config_.probabilistic) {
-    batch.logvar = mlp_sigma_->Forward(x_z);
-  }
   nn::Var z = batch.mu;
   if (config_.probabilistic && stochastic) {
+    batch.logvar = mlp_sigma_->Forward(x_z);
     nn::Var noise = nn::Var::Constant(
         nn::Tensor::Randn(rng, batch.mu.rows(), batch.mu.cols()));
     z = nn::Add(batch.mu,
@@ -248,8 +247,7 @@ void TgaeGenerator::DecodeLogits(DecodedBatch& batch,
   // Candidate-set decode: slice the candidate columns out of the decoder
   // weight, so the matmul costs O(rows x |candidates| x d_enc). For the
   // tied decoder a row gather + transpose stays O(|candidates| x d_enc)
-  // instead of transposing the whole n-row table. Both produce the exact
-  // column values of the dense decode (same ascending-k accumulation).
+  // instead of transposing the whole n-row table.
   nn::Var w_cols =
       config_.tie_decoder
           ? nn::Transpose(nn::GatherRows(node_emb_->table(), *candidates))
@@ -579,8 +577,7 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
         }
       }
     }
-    // Chunked decoding keeps peak memory at O(chunk x n) dense,
-    // O(chunk x |support union|) sparse.
+    // Chunked encoding bounds the ego graphs and decoder rows held at once.
     for (size_t base = 0; base < occ.size();
          base += static_cast<size_t>(config_.generation_chunk)) {
       size_t end = std::min(
@@ -624,18 +621,14 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
 
       DecodedBatch batch = Encode(egos, /*centers_only=*/true,
                                   /*stochastic=*/false, rng);
-      // Sparse decode scores only the union of the chunk's support
-      // columns. The dense decode scores all n columns (the paper-preset
-      // default).
-      CandidateSet candidates(config_.sparse_decoder ? n : 0);
-      if (config_.sparse_decoder) {
-        for (const auto& support : supports)
-          for (graphs::NodeId v : support) candidates.Add(v);
-        DecodeLogits(batch, &candidates.columns());
-      } else {
-        DecodeLogits(batch, /*candidates=*/nullptr);
-      }
-      const nn::Tensor& logits = batch.logits.value();
+      const nn::Tensor& rows = batch.rows.value();
+      const int d = rows.cols();
+      const nn::Tensor& table = node_emb_->table().value();
+      const nn::Scalar* bias = b_dec_.value().row(0);
+      // Untied decoder columns are strided in W_dec; read them as lanes of
+      // the k-major decode panel instead.
+      const nn::Scalar* panel =
+          config_.tie_decoder ? nullptr : DecodePanel(d).data();
 
       for (size_t i = base; i < end; ++i) {
         const int row = static_cast<int>(i - base);
@@ -643,14 +636,25 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
         const std::vector<graphs::NodeId>& support = supports[i - base];
         const std::vector<bool>& is_exact = exacts[i - base];
 
-        // Support logits come out of the decoded tensor either way: the
-        // sparse decode scored exactly the support-union columns, and its
-        // values match the dense decode's columns bit for bit.
+        // Only the support columns are scored, O(|support| d) per row. Each
+        // logit is one ascending-k chain plus the bias, the exact value of
+        // the dense decode's MatMul column, so the draws are those of the
+        // n-wide decode on every preset.
+        const nn::Scalar* h = rows.row(row);
         std::vector<nn::Scalar> sup_logits(support.size());
-        for (size_t c = 0; c < support.size(); ++c)
-          sup_logits[c] = config_.sparse_decoder
-                              ? logits.at(row, candidates.slot_of(support[c]))
-                              : logits.at(row, support[c]);
+        for (size_t c = 0; c < support.size(); ++c) {
+          const int v = support[c];
+          nn::Scalar dot;
+          if (panel == nullptr) {
+            dot = nn::kernels::Dot(h, table.row(v), d);
+          } else {
+            nn::Scalar lanes[4];
+            nn::kernels::DotPanel4(
+                h, panel + static_cast<size_t>(v / 4) * d * 4, d, lanes);
+            dot = lanes[v % 4];
+          }
+          sup_logits[c] = dot + bias[v];
+        }
 
         // The categorical is normalized on the support directly: a
         // stabilized exp over the support logits times the ring prior. (A
@@ -669,16 +673,10 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
           return w;
         };
         // Full-row probabilities, needed only by the empty-support
-        // fallback: the dense decode already holds the row; the sparse
-        // path reconstructs it on demand (O(n d) for the rare row instead
-        // of every row).
+        // fallback: the n-wide row is built on demand (O(n d) for the rare
+        // row instead of every row).
         auto full_row_probs = [&]() {
-          std::span<const nn::Scalar> logit_row = logits.RowSpan(row);
-          std::vector<nn::Scalar> p =
-              config_.sparse_decoder
-                  ? DenseLogitsRow(batch.rows.value(), row)
-                  : std::vector<nn::Scalar>(logit_row.begin(),
-                                            logit_row.end());
+          std::vector<nn::Scalar> p = DenseLogitsRow(rows, row);
           const int count = static_cast<int>(p.size());
           const nn::Scalar m = nn::kernels::RowMax(p.data(), count);
           // ExpRowSum in place (x == dst is full-alias-safe).

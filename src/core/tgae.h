@@ -63,19 +63,18 @@ struct TgaeConfig {
   /// embedding into the center representation. Halves decoder parameters
   /// and substantially sharpens the decoded rows.
   bool tie_decoder = true;
-  /// Sparse decode path. Training scores each decoded row only on its
+  /// Sparse training loss: each decoded row is scored only on its
   /// candidate set (the batch's positives plus `negative_samples` shared
-  /// negatives) via SampledSoftmaxCrossEntropy, making the reconstruction
-  /// term O(positives + negatives) per row; generation decodes logits only
-  /// over the union of support columns per chunk, O(support) per row. The
-  /// dense n-wide decode stays the default (and the `preset=paper`
-  /// behavior); `preset=fast` flips this on.
+  /// negatives) via SampledSoftmaxCrossEntropy, O(positives + negatives)
+  /// per row. The dense n-wide loss stays the default (and `preset=paper`);
+  /// `preset=fast` flips this on. Generation never reads it: every preset
+  /// scores only each row's support columns.
   bool sparse_decoder = false;
   /// Shared negative samples per training batch (sparse decoder only):
   /// uniform node draws appended to the candidate set so the sampled
   /// softmax sees columns outside the batch's positive support.
   int negative_samples = 64;
-  /// Center-batch chunk size during generation (bounds peak memory).
+  /// Center-batch chunk size during generation (bounds encoder memory).
   int generation_chunk = 256;
   /// Name shown in tables ("TGAE", "TGAE-g", ...).
   std::string display_name = "TGAE";
@@ -113,10 +112,10 @@ int NextUntakenNode(const std::vector<bool>& taken, int start);
 /// variational head (Alg. 2), and optimizes the approximate loss of Eq. 7
 /// with Adam.
 ///
-/// Generate(): per timestamp, decodes the categorical edge distribution of
-/// every active temporal node and samples its observed number of edges
-/// without replacement, so the generated graph matches the observed edge
-/// budget exactly (paper Section IV-G).
+/// Generate(): per timestamp, scores every active temporal node on its
+/// temporal neighborhood N(u^t) only and samples its observed number of
+/// edges without replacement, so the generated graph matches the observed
+/// edge budget exactly (paper Section IV-G).
 class TgaeGenerator : public baselines::TemporalGraphGenerator {
  public:
   explicit TgaeGenerator(TgaeConfig config = {});
@@ -152,27 +151,27 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   int64_t ResidentStateBytes() const override;
 
  private:
-  /// Encoded (and optionally decoded) rows for a batch of ego-graphs.
+  /// Encoded (and, in training, decoded) rows for a batch of ego-graphs.
   struct DecodedBatch {
     nn::Var rows;    // R x d_enc decoder inputs (h_center + path-sum z).
-    nn::Var logits;  // Filled by DecodeLogits: R x n (dense decode) or
-                     // R x |candidates| (sparse decode).
+    nn::Var logits;  // Training only, filled by DecodeLogits: R x n (dense
+                     // loss) or R x |candidates| (sampled softmax).
     std::vector<graphs::TemporalNodeRef> row_nodes;
-    nn::Var mu;      // Variational head outputs (for the KL term).
-    nn::Var logvar;
+    nn::Var mu;      // Variational head outputs (for the KL term); logvar
+    nn::Var logvar;  // is set only by a stochastic encode.
   };
 
   /// Runs the encoder on a batch of ego-graphs and assembles the decoder
   /// input rows (h_center + Alg. 2 path-sum z). With `centers_only` only
   /// the ego centers receive rows (generation); otherwise every ego node
   /// does (training). `stochastic` toggles the reparameterized sample vs.
-  /// the posterior mean. Does not decode: call DecodeLogits next.
+  /// the posterior mean. Does not decode (training calls DecodeLogits).
   DecodedBatch Encode(const std::vector<graphs::EgoGraph>& egos,
                       bool centers_only, bool stochastic, Rng& rng) const;
 
-  /// Fills `batch.logits`. With `candidates == nullptr` this is the dense
-  /// n-wide decode; otherwise only the candidate columns are scored
-  /// (GatherCols on the decoder weight), making the matmul
+  /// Training decode: fills `batch.logits`. With `candidates == nullptr`
+  /// this is the dense n-wide decode; otherwise only the candidate columns
+  /// are scored (GatherCols on the decoder weight), making the matmul
   /// O(rows x |candidates|).
   void DecodeLogits(DecodedBatch& batch,
                     const std::vector<int>* candidates) const;
@@ -186,8 +185,8 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   nn::SparseRowTargets TargetRows(
       const std::vector<graphs::TemporalNodeRef>& row_nodes) const;
 
-  /// Dense logits of one decoded row (b + rows.row(r) . W_dec), used by
-  /// the sparse generation path's empty-support fallback only. Matches the
+  /// Dense logits of one decoded row (b + rows.row(r) . W_dec), built only
+  /// by the generation empty-support fallback, on every preset. Matches the
   /// dense decode bit for bit: the k-major decode panel keeps one
   /// ascending-k accumulation chain per output column (kernels::DotPanel4
   /// runs four such chains at once).
@@ -195,9 +194,9 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
                                          int r) const;
 
   /// Lazily (re)packs the decoder weight into the k-major 4-column-block
-  /// panel DenseLogitsRow reads: panel[(block*d + k)*4 + j] holds column
-  /// 4*block+j of W_dec (or of the tied embedding table, transposed) at
-  /// depth k, with zero padding past n. Built on the generation (caller)
+  /// panel DenseLogitsRow and untied Generate read: panel[(block*d + k)*4
+  /// + j] holds column 4*block+j of W_dec (or of the tied table, transposed)
+  /// at depth k, zero-padded past n. Built on the generation (caller)
   /// thread; invalidated whenever the decoder weights change.
   const std::vector<nn::Scalar>& DecodePanel(int d) const;
 

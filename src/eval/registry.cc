@@ -60,8 +60,9 @@ MethodSpec TgaeSpec(const std::string& name, core::TgaeVariant variant,
   spec.in_ablation_table = true;
   spec.supports_update = true;
   spec.schema = core::TgaeConfig::Schema();
-  // The fast profile also flips on the sparse candidate-set decoder;
-  // preset=paper keeps the dense n-wide decode (the paper's formulation).
+  // The fast profile also flips on the sampled-softmax training loss;
+  // preset=paper keeps the dense n-wide loss (the paper's formulation).
+  // Generation scores only each row's support columns on both presets.
   spec.fast_preset =
       Tokens({"epochs=5", "batch_centers=16", "sparse_decoder=true"});
   spec.factory = [variant](const config::ParamMap& params)

@@ -326,7 +326,9 @@ Result<BlockFileReader> BlockFileReader::FromBuffer(std::string_view bytes,
   impl->base = base_offset;
   impl->region_size = static_cast<int64_t>(bytes.size());
   impl->buffer.resize(impl->pad + bytes.size());
-  std::memcpy(impl->buffer.data() + impl->pad, bytes.data(), bytes.size());
+  // An empty buffer's data() may be null, which memcpy must never see.
+  if (!bytes.empty())
+    std::memcpy(impl->buffer.data() + impl->pad, bytes.data(), bytes.size());
   Status st = impl->Parse();
   if (!st.ok()) return st;
   BlockFileReader reader;

@@ -98,7 +98,7 @@ TEST(RegistryTest, ParamsOverrideConfigFields) {
 
 TEST(RegistryTest, FastPresetReproducesOldEffortConfigs) {
   // The preset=fast overlays stay pinned: the PR 3 Effort::kFast shrink
-  // plus (for the TGAE family) the sparse candidate-set decoder and (for
+  // plus (for the TGAE family) the sampled-softmax training loss and (for
   // the score-matrix methods) the truncated sparse score store. The
   // paper preset intentionally stays dense/untruncated — see
   // RegistryTest.SparseDecoderKnobsArePinned and
@@ -141,8 +141,9 @@ TEST(RegistryTest, FastPresetReproducesOldEffortConfigs) {
 TEST(RegistryTest, SparseDecoderKnobsArePinned) {
   // The sparse-decoder surface is part of the schema for the whole TGAE
   // family; preset=fast flips it on, preset=paper must keep the dense
-  // n-wide decode (the paper's formulation) — that invariant is relied on
-  // by the paper-table benches.
+  // n-wide training loss (the paper's formulation) — that invariant is
+  // relied on by the paper-table benches. Generation reads only the
+  // support columns on both presets.
   for (const std::string& name :
        {std::string("TGAE"), std::string("TGAE-g"), std::string("TGAE-p")}) {
     const MethodSpec* spec = FindMethod(name);

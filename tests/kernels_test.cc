@@ -6,6 +6,7 @@
 // TGSIM_FORCE_SCALAR build the active table IS the scalar table and the
 // sweep degenerates to a self-check; on AVX2 hosts it pins the SIMD
 // variants lane for lane.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -283,6 +284,63 @@ TEST(KernelBitIdentityTest, DotPanel4MatchesSerialDotPerColumn) {
       EXPECT_TRUE(ScalarBitsEqual(ref, out_s[j], "DotPanel4 vs Dot", dim));
       EXPECT_TRUE(ScalarBitsEqual(out_s[j], out_d[j], "DotPanel4", dim));
     }
+  }
+}
+
+// TGAE generation scores only the support columns of each decoder row, with
+// kernels::Dot on the tied decoder and a DotPanel4 lane on the untied one,
+// and must draw exactly what the dense MatMul decode would. Pin that
+// association: MatMul(A, B)(r, v) == Dot(A.row(r), B^T.row(v)) == lane v % 4
+// of DotPanel4 over B's k-major panel block v / 4, bit for bit, on the scalar
+// and the active backend. The depths cross the Axpy4Row tail and the 64-wide
+// MatMul k-block; the rows carry signed zeros and denormals.
+TEST(KernelBitIdentityTest, MatMulColumnIsDotAndPanelLane) {
+  constexpr int kRows = 3;
+  constexpr int kCols = 9;  // Two full panel blocks plus a padded one.
+  for (Backend backend : {Backend::kScalar, ActiveBackend()}) {
+    const Backend prev = SetBackendForTest(backend);
+    for (int dim : {1, 3, 4, 5, 31, 32, 33, 64, 65, 130}) {
+      Tensor a(kRows, dim);
+      Tensor b(dim, kCols);
+      for (int r = 0; r < 2; ++r) {
+        const std::vector<Scalar> row =
+            MakeBuffer(dim, static_cast<uint64_t>(dim + r));
+        std::copy(row.begin(), row.end(), a.row(r));
+      }
+      // Row 2: -0.0 and denormals only, so every product is a signed zero
+      // or a denormal and the chain's +0.0 start decides the sign.
+      for (int k = 0; k < dim; ++k)
+        a.at(2, k) = (k % 2 == 0) ? -0.0 : 5e-324;
+      const std::vector<Scalar> bvals =
+          MakeBuffer(dim * kCols, static_cast<uint64_t>(dim) + 101);
+      std::copy(bvals.begin(), bvals.end(), b.data());
+
+      const Tensor product = a.MatMul(b);
+      const Tensor bt = b.Transpose();
+      const int blocks = (kCols + 3) / 4;
+      std::vector<Scalar> panel(static_cast<size_t>(blocks) * dim * 4, 0.0);
+      for (int k = 0; k < dim; ++k)
+        for (int v = 0; v < kCols; ++v)
+          panel[static_cast<size_t>(v / 4) * dim * 4 +
+                static_cast<size_t>(k) * 4 + (v % 4)] = b.at(k, v);
+
+      for (int r = 0; r < kRows; ++r) {
+        for (int v = 0; v < kCols; ++v) {
+          const Scalar want = product.at(r, v);
+          EXPECT_TRUE(ScalarBitsEqual(
+              want, Dot(a.row(r), bt.row(v), dim), "MatMul vs Dot", dim))
+              << BackendName(backend) << " r=" << r << " v=" << v;
+          Scalar lanes[4];
+          DotPanel4(a.row(r),
+                    panel.data() + static_cast<size_t>(v / 4) * dim * 4, dim,
+                    lanes);
+          EXPECT_TRUE(ScalarBitsEqual(want, lanes[v % 4],
+                                      "MatMul vs DotPanel4 lane", dim))
+              << BackendName(backend) << " r=" << r << " v=" << v;
+        }
+      }
+    }
+    SetBackendForTest(prev);
   }
 }
 

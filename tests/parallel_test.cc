@@ -348,33 +348,38 @@ TEST(DeterminismSweepTest, MotifCensusCapMatchesSerialPrefix) {
   }
 }
 
-TEST(DeterminismSweepTest, SparseDecodePathIsThreadCountInvariant) {
-  // End-to-end sweep over the sparse-decoder TGAE: sampled-softmax
-  // training (GatherCols + SampledSoftmaxCrossEntropy kernels) and
-  // support-union generation must produce bit-identical losses and edge
-  // lists at any thread count, per the parallel contract.
+TEST(DeterminismSweepTest, TgaeFitAndGenerateAreThreadCountInvariant) {
+  // End-to-end sweep over TGAE in both training configurations: the
+  // sampled-softmax loss of preset=fast (GatherCols +
+  // SampledSoftmaxCrossEntropy) and the dense n-wide loss of preset=paper
+  // (MatMul + RowCrossEntropyWithLogits). Training and the support-column
+  // generation must produce bit-identical losses and edge lists at any
+  // thread count, per the parallel contract.
   graphs::TemporalGraph observed = datasets::MakeMimicByName("DBLP", 0.04, 4);
-  auto run = [&] {
-    core::TgaeConfig cfg;
-    cfg.epochs = 2;
-    cfg.batch_centers = 8;
-    cfg.sparse_decoder = true;
-    cfg.negative_samples = 16;
-    core::TgaeGenerator gen(cfg);
-    Rng rng(21);
-    gen.Fit(observed, rng);
-    graphs::TemporalGraph out = gen.Generate(rng);
-    return std::make_pair(gen.last_epoch_loss(), out.edges());
-  };
-  auto results = SweepThreadCounts(run);
-  for (size_t v = 1; v < results.size(); ++v) {
-    EXPECT_EQ(results[0].first, results[v].first)  // Bit-identical loss.
-        << "variant " << v;
-    ASSERT_EQ(results[0].second.size(), results[v].second.size())
-        << "variant " << v;
-    for (size_t i = 0; i < results[0].second.size(); ++i)
-      ASSERT_TRUE(results[0].second[i] == results[v].second[i])
-          << "variant " << v << " edge " << i;
+  for (bool sparse : {true, false}) {
+    SCOPED_TRACE(sparse ? "sparse_decoder=true" : "sparse_decoder=false");
+    auto run = [&] {
+      core::TgaeConfig cfg;
+      cfg.epochs = 2;
+      cfg.batch_centers = 8;
+      cfg.sparse_decoder = sparse;
+      cfg.negative_samples = 16;
+      core::TgaeGenerator gen(cfg);
+      Rng rng(21);
+      gen.Fit(observed, rng);
+      graphs::TemporalGraph out = gen.Generate(rng);
+      return std::make_pair(gen.last_epoch_loss(), out.edges());
+    };
+    auto results = SweepThreadCounts(run);
+    for (size_t v = 1; v < results.size(); ++v) {
+      EXPECT_EQ(results[0].first, results[v].first)  // Bit-identical loss.
+          << "variant " << v;
+      ASSERT_EQ(results[0].second.size(), results[v].second.size())
+          << "variant " << v;
+      for (size_t i = 0; i < results[0].second.size(); ++i)
+        ASSERT_TRUE(results[0].second[i] == results[v].second[i])
+            << "variant " << v << " edge " << i;
+    }
   }
 }
 

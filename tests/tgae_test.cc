@@ -3,12 +3,15 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 
+#include "baselines/state_io.h"
 #include "datasets/synthetic.h"
 #include "eval/registry.h"
 #include "gtest/gtest.h"
 #include "metrics/motifs.h"
 #include "metrics/temporal_scores.h"
+#include "serialize/serialization.h"
 
 namespace tgsim::core {
 namespace {
@@ -173,33 +176,112 @@ TEST(TgaeTest, SparseDecoderTrainsAndGenerates) {
 }
 
 TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
-  // The sparse generation path decodes only the support-union columns, but
-  // those columns carry the exact values of the dense decode and the
-  // categorical is normalized on the support in both paths — so with the
-  // same weights and the same seed the drawn edge lists must be identical.
+  // sparse_decoder chooses the training loss only: generation scores each
+  // row's support columns the same way on every preset (kernels::Dot rows
+  // of the tied table, DotPanel4 lanes of the untied decode panel), so with
+  // the same weights and the same seed the drawn edge lists are identical.
   graphs::TemporalGraph observed = Observed();
-  TgaeConfig dense_cfg = FastConfig();
-  TgaeGenerator dense(dense_cfg);
-  Rng rd(17);
-  dense.Fit(observed, rd);
-  std::stringstream state;
-  ASSERT_TRUE(dense.SaveState(state).ok());
+  for (bool tied : {true, false}) {
+    SCOPED_TRACE(tied ? "tie_decoder=true" : "tie_decoder=false");
+    TgaeConfig dense_cfg = FastConfig();
+    dense_cfg.tie_decoder = tied;
+    TgaeGenerator dense(dense_cfg);
+    Rng rd(17);
+    dense.Fit(observed, rd);
+    std::stringstream state;
+    ASSERT_TRUE(dense.SaveState(state).ok());
 
-  // The sparse decoder has the same parameter shapes, so it loads the
-  // dense model's fitted state (weights and support) as is.
-  TgaeConfig sparse_cfg = dense_cfg;
-  sparse_cfg.sparse_decoder = true;
-  TgaeGenerator sparse(sparse_cfg);
-  Status loaded = sparse.LoadState(state);
+    // The sparse decoder has the same parameter shapes, so it loads the
+    // dense model's fitted state (weights and support) as is.
+    TgaeConfig sparse_cfg = dense_cfg;
+    sparse_cfg.sparse_decoder = true;
+    TgaeGenerator sparse(sparse_cfg);
+    Status loaded = sparse.LoadState(state);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+
+    Rng g1(99);
+    Rng g2(99);
+    graphs::TemporalGraph a = dense.Generate(g1);
+    graphs::TemporalGraph b = sparse.Generate(g2);
+    ASSERT_EQ(a.num_edges(), b.num_edges());
+    for (size_t i = 0; i < a.edges().size(); ++i)
+      EXPECT_TRUE(a.edges()[i] == b.edges()[i]) << "edge " << i;
+  }
+}
+
+TEST(TgaeTest, UntiedDecoderEqualToTiedTableDrawsIdenticalEdges) {
+  // Generation reads a tied support logit as kernels::Dot against an
+  // embedding-table row and an untied one as a DotPanel4 lane of the
+  // decode panel. An untied model whose W_dec is the tied model's table
+  // transposed has the same logits, so the two must draw the same edges:
+  // on the support, and for `loop_node` (only self-loops within the t = 0
+  // window) through the n-wide empty-support fallback. A wide window with
+  // no ring discount makes supports outgrow budgets, so the draws depend
+  // on every support logit.
+  TgaeConfig tied_cfg = FastConfig();
+  tied_cfg.generation_time_window = 2;
+  tied_cfg.generation_ring_weight = 1.0;
+  const graphs::TemporalGraph base = Observed();
+  const graphs::NodeId loop_node = base.edges().front().u;
+  graphs::TemporalGraph observed(base.num_nodes(), base.num_timestamps());
+  for (const auto& e : base.edges())
+    if (e.u != loop_node || e.t > 2) observed.AddEdge(e.u, e.v, e.t);
+  observed.AddEdge(loop_node, loop_node, 0);
+  observed.AddEdge(loop_node, loop_node, 0);
+  observed.Finalize();
+
+  TgaeGenerator tied(tied_cfg);
+  Rng rng(23);
+  tied.Fit(observed, rng);
+  std::stringstream tied_state;
+  ASSERT_TRUE(tied.SaveState(tied_state).ok());
+
+  // Rewrite the state with W_dec = table^T inserted before b_dec: the tied
+  // parameters are [node table, ..., b_dec], the untied ones
+  // [node table, ..., W_dec, b_dec].
+  Result<serialize::ArchiveReader> parsed =
+      serialize::ArchiveReader::Parse(tied_state);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const serialize::ArchiveReader& reader = parsed.value();
+  Result<int64_t> count = reader.GetInt("params", "count");
+  ASSERT_TRUE(count.ok());
+  std::vector<nn::Var> params;
+  for (int64_t i = 0; i < count.value(); ++i) {
+    std::string name = "p";  // WriteParams field names: p0, p1, ...
+    name += std::to_string(i);
+    Result<nn::Tensor> p = reader.GetTensor("params", name);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    params.push_back(nn::Var::Constant(std::move(p).value()));
+  }
+  params.insert(params.end() - 1,
+                nn::Var::Constant(params.front().value().Transpose()));
+  baselines::ObservedShape shape;
+  shape.CaptureFrom(observed);
+  std::stringstream untied_state;
+  serialize::ArchiveWriter writer(untied_state);
+  baselines::WriteShape(writer, shape);
+  baselines::WriteSupportGraph(writer, "support", observed);
+  writer.BeginSection("params");
+  serialize::WriteParams(writer, params);
+  ASSERT_TRUE(writer.Finish().ok());
+
+  TgaeConfig untied_cfg = tied_cfg;
+  untied_cfg.tie_decoder = false;
+  TgaeGenerator untied(untied_cfg);
+  Status loaded = untied.LoadState(untied_state);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
 
-  Rng g1(99);
-  Rng g2(99);
-  graphs::TemporalGraph a = dense.Generate(g1);
-  graphs::TemporalGraph b = sparse.Generate(g2);
+  Rng g1(5);
+  Rng g2(5);
+  graphs::TemporalGraph a = tied.Generate(g1);
+  graphs::TemporalGraph b = untied.Generate(g2);
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (size_t i = 0; i < a.edges().size(); ++i)
     EXPECT_TRUE(a.edges()[i] == b.edges()[i]) << "edge " << i;
+  int fallback_edges = 0;
+  for (const auto& e : a.edges())
+    if (e.u == loop_node && e.t == 0) ++fallback_edges;
+  EXPECT_EQ(fallback_edges, 2);
 }
 
 TEST(TgaeTest, NextUntakenNodeScansPastTakenNodes) {
