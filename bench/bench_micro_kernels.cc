@@ -1,8 +1,8 @@
 // Engineering microbenchmarks (google-benchmark): the kernels that
-// dominate TGAE's cost profile — dense matmul, segment softmax, ego-graph
-// sampling, bipartite stack construction, snapshot accumulation, and the
-// temporal motif census. Not a paper table; used for the design-choice
-// ablations called out in DESIGN.md.
+// dominate TGAE's cost profile — dense matmul, the dense training loss
+// step, segment softmax, ego-graph sampling, bipartite stack construction,
+// snapshot accumulation, and the temporal motif census. Not a paper table;
+// used for the design-choice ablations called out in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
@@ -187,6 +187,86 @@ void BM_DecodeSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeSparse)->Args({2000, 64})->Args({4000, 64})
     ->Args({2000, 256});
+
+/// One preset=paper training step over the dense n-wide decode, at the
+/// shape of the serve-mixed e2ebench live model's fit (1354 decoded rows,
+/// n = 954, d = 32), on one thread. DenseLossStep is the shipped path: the
+/// Affine decode, the sparse-target RowCrossEntropyWithLogits and
+/// Backward. ComposedRef is the composition it replaced, spelled out op by
+/// op because the public dense-target overload is fused too: Add(MatMul),
+/// a dense target scatter, LogSoftmaxRows/Mul/Sum/Scale and Backward. The
+/// two give bit-identical losses and gradients.
+struct DenseLossFixture {
+  nn::Var rows_h, w, b;
+  nn::SparseRowTargets targets;
+};
+
+DenseLossFixture MakeDenseLossFixture(int rows, int n, int d) {
+  Rng rng(17);
+  DenseLossFixture f;
+  f.rows_h = nn::Var::Param(nn::Tensor::Randn(rng, rows, d));
+  f.w = nn::Var::Param(nn::Tensor::Randn(rng, d, n, 0.2));
+  f.b = nn::Var::Param(nn::Tensor::Randn(rng, 1, n, 0.2));
+  std::vector<int> cols;
+  for (int r = 0; r < rows; ++r) {
+    const int count = 1 + r % 4;  // Sparse adjacency rows, 1-4 neighbors.
+    cols.clear();
+    while (static_cast<int>(cols.size()) < count) {
+      const int v = static_cast<int>(rng.UniformInt(n));
+      if (std::find(cols.begin(), cols.end(), v) == cols.end())
+        cols.push_back(v);
+    }
+    for (int v : cols) f.targets.AppendEntry(v, 1.0 / count);
+    f.targets.FinishRow();
+  }
+  return f;
+}
+
+template <typename StepFn>
+void RunDenseLossStep(benchmark::State& state, StepFn step) {
+  const int rows = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int d = static_cast<int>(state.range(2));
+  DenseLossFixture f = MakeDenseLossFixture(rows, n, d);
+  parallel::ThreadPool::SetGlobalThreads(1);
+  for (auto _ : state) {
+    f.rows_h.ZeroGrad();
+    f.w.ZeroGrad();
+    f.b.ZeroGrad();
+    nn::Var loss = step(f, rows, n);
+    nn::Backward(loss);
+    benchmark::DoNotOptimize(loss.item());
+    benchmark::DoNotOptimize(f.w.grad().data());
+    benchmark::ClobberMemory();
+  }
+  parallel::ThreadPool::SetGlobalThreads(
+      parallel::ThreadPool::DefaultNumThreads());
+  state.SetItemsProcessed(state.iterations() * rows * n);
+}
+
+void BM_DenseLossStep(benchmark::State& state) {
+  RunDenseLossStep(state, [](const DenseLossFixture& f, int, int) {
+    return nn::RowCrossEntropyWithLogits(nn::Affine(f.rows_h, f.w, f.b),
+                                         f.targets);
+  });
+}
+BENCHMARK(BM_DenseLossStep)->Args({1354, 954, 32});
+
+void BM_DenseLossStepComposedRef(benchmark::State& state) {
+  RunDenseLossStep(state, [](const DenseLossFixture& f, int rows, int n) {
+    nn::Var logits = nn::Add(nn::MatMul(f.rows_h, f.w), f.b);
+    nn::Tensor dense(rows, n);
+    for (int r = 0; r < rows; ++r)
+      for (int e = f.targets.offsets[static_cast<size_t>(r)];
+           e < f.targets.offsets[static_cast<size_t>(r) + 1]; ++e)
+        dense.at(r, f.targets.cols[static_cast<size_t>(e)]) =
+            f.targets.weights[static_cast<size_t>(e)];
+    return nn::Scale(nn::Sum(nn::Mul(nn::LogSoftmaxRows(logits),
+                                     nn::Var::Constant(dense))),
+                     -1.0 / static_cast<nn::Scalar>(rows));
+  });
+}
+BENCHMARK(BM_DenseLossStepComposedRef)->Args({1354, 954, 32});
 
 /// Dispatched vs scalar-reference row kernels. The dispatched variants
 /// are registered from main() only when a SIMD backend is active, so the

@@ -39,7 +39,11 @@ BENCH_storage.json, BENCH_update.json). Three checks:
        ScalarRef replicas (the explicit-SIMD kernel-layer bar; only
        emitted when a SIMD backend is active), and
      - BM_DecodeUntiedPanel/2048 >= 2x BM_DecodeUntiedStridedRef/2048
-       (the transpose-panel untied-decode bar).
+       (the transpose-panel untied-decode bar), and
+     - BM_DenseLossStep/1354/954/32 >= 1.5x
+       BM_DenseLossStepComposedRef/1354/954/32 (the fused dense-loss bar:
+       Affine decode + sparse-target loss + Backward vs the composition
+       they replaced, at the serve-mixed live model's fit shape).
 """
 
 import argparse
@@ -64,6 +68,11 @@ HARD_RATIO_GATES = [
     ("BM_KernelRowMax/4096", "BM_KernelRowMaxScalarRef/4096", 1.5),
     # Transpose-panel untied decode vs the old stride-n column walk.
     ("BM_DecodeUntiedPanel/2048", "BM_DecodeUntiedStridedRef/2048", 2.0),
+    # Fused dense training step vs the op-by-op composition it replaced
+    # (2.3-3.6x at one thread on a 4-vCPU Xeon; floored like the kernel
+    # gates).
+    ("BM_DenseLossStep/1354/954/32",
+     "BM_DenseLossStepComposedRef/1354/954/32", 1.5),
 ]
 
 

@@ -236,12 +236,10 @@ TgaeGenerator::DecodedBatch TgaeGenerator::Encode(
 void TgaeGenerator::DecodeLogits(DecodedBatch& batch,
                                  const std::vector<int>* candidates) const {
   if (candidates == nullptr) {
-    if (config_.tie_decoder) {
-      batch.logits = nn::Add(
-          nn::MatMul(batch.rows, nn::Transpose(node_emb_->table())), b_dec_);
-    } else {
-      batch.logits = nn::Add(nn::MatMul(batch.rows, w_dec_), b_dec_);
-    }
+    batch.logits = nn::Affine(
+        batch.rows,
+        config_.tie_decoder ? nn::Transpose(node_emb_->table()) : w_dec_,
+        b_dec_);
     return;
   }
   // Candidate-set decode: slice the candidate columns out of the decoder
@@ -252,8 +250,8 @@ void TgaeGenerator::DecodeLogits(DecodedBatch& batch,
       config_.tie_decoder
           ? nn::Transpose(nn::GatherRows(node_emb_->table(), *candidates))
           : nn::GatherCols(w_dec_, *candidates);
-  batch.logits = nn::Add(nn::MatMul(batch.rows, w_cols),
-                         nn::GatherCols(b_dec_, *candidates));
+  batch.logits =
+      nn::Affine(batch.rows, w_cols, nn::GatherCols(b_dec_, *candidates));
 }
 
 nn::SparseRowTargets TgaeGenerator::TargetRows(
@@ -442,14 +440,7 @@ void TgaeGenerator::TrainEpochs(int epochs,
       loss = nn::SampledSoftmaxCrossEntropy(batch.logits, targets);
     } else {
       DecodeLogits(batch, /*candidates=*/nullptr);
-      nn::Tensor dense(static_cast<int>(batch.row_nodes.size()), n);
-      for (int r = 0; r < targets.rows(); ++r) {
-        for (int e = targets.offsets[static_cast<size_t>(r)];
-             e < targets.offsets[static_cast<size_t>(r) + 1]; ++e)
-          dense.at(r, targets.cols[static_cast<size_t>(e)]) =
-              targets.weights[static_cast<size_t>(e)];
-      }
-      loss = nn::RowCrossEntropyWithLogits(batch.logits, dense);
+      loss = nn::RowCrossEntropyWithLogits(batch.logits, std::move(targets));
     }
     if (config_.probabilistic) {
       loss = nn::Add(loss, nn::Scale(nn::KlToStandardNormal(

@@ -155,6 +155,36 @@ Var MatMul(const Var& a, const Var& b) {
   });
 }
 
+Var Affine(const Var& a, const Var& w, const Var& b) {
+  TGSIM_CHECK_EQ(b.rows(), 1);
+  TGSIM_CHECK_EQ(b.cols(), w.cols());
+  Tensor out = a.value().MatMul(w.value());
+  out.AddRowVectorInPlace(b.value());
+  return MakeOp(std::move(out), {a, w, b}, [](Node& self) {
+    auto& pa = self.parents[0];
+    auto& pw = self.parents[1];
+    auto& pb = self.parents[2];
+    const int cols = self.grad.cols();
+    if (NeedsGrad(pb)) {
+      pb->EnsureGrad();
+      for (int r = 0; r < self.grad.rows(); ++r)
+        kernels::AddRow(pb->grad.row(0), self.grad.row(r), cols);
+    }
+    // The composition hands the MatMul node a `0.0 + g` copy of this
+    // gradient, which differs from g only in the sign of zero entries.
+    // Every MatMul output chain starts at +0.0 and so never holds -0.0;
+    // adding a zero of either sign to it leaves the same bits.
+    if (NeedsGrad(pa)) {
+      pa->EnsureGrad();
+      pa->grad.AddInPlace(self.grad.MatMul(pw->value.Transpose()));
+    }
+    if (NeedsGrad(pw)) {
+      pw->EnsureGrad();
+      pw->grad.AddInPlace(pa->value.Transpose().MatMul(self.grad));
+    }
+  });
+}
+
 Var Add(const Var& a, const Var& b) {
   const bool broadcast = b.rows() == 1 && a.rows() != 1 &&
                          b.cols() == a.cols();
@@ -735,10 +765,118 @@ Var Transpose(const Var& a) {
 
 Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets) {
   TGSIM_CHECK(logits.value().SameShape(targets));
-  Var log_p = LogSoftmaxRows(logits);
-  Var weighted = Mul(log_p, Var::Constant(targets));
-  int rows = targets.rows();
-  return Scale(Sum(weighted), -1.0 / static_cast<Scalar>(rows));
+  SparseRowTargets sparse;
+  for (int r = 0; r < targets.rows(); ++r) {
+    for (int c = 0; c < targets.cols(); ++c)
+      if (targets.at(r, c) != 0.0) sparse.AppendEntry(c, targets.at(r, c));
+    sparse.FinishRow();
+  }
+  return RowCrossEntropyWithLogits(logits, std::move(sparse));
+}
+
+// The sparse-target loss replays Scale(Sum(Mul(LogSoftmaxRows(x), T)), s)
+// with s = -1/R, skipping only the zero entries of T:
+//  - Forward: Sum chains log_p * T row-major from +0.0. A zero target adds
+//    a zero of either sign, and a chain that starts at +0.0 never holds
+//    -0.0, so those adds change no bit; the target entries are chained in
+//    the same order (rows, then ascending columns).
+//  - Backward: each step of the composition adds into a freshly zeroed
+//    gradient, so a target entry receives 0.0 + (0.0 + (0.0 + s * g)) * w
+//    and every other entry +0.0. The row's gradient sum skips those +0.0
+//    terms for the same reason, and the exp/log-softmax kernels then run
+//    on the rebuilt n-wide row exactly as LogSoftmaxRows' backward does
+//    (ExpRow(x, log_z) equals its ExpRow(x - log_z, 0.0) bit for bit).
+Var RowCrossEntropyWithLogits(const Var& logits, SparseRowTargets targets) {
+  const Tensor& x = logits.value();
+  const int rows = x.rows();
+  const int cols = x.cols();
+  TGSIM_CHECK_EQ(targets.rows(), rows);
+  TGSIM_CHECK_EQ(targets.cols.size(), targets.weights.size());
+  TGSIM_CHECK_EQ(targets.offsets.front(), 0);
+  TGSIM_CHECK_EQ(static_cast<size_t>(targets.offsets.back()),
+                 targets.cols.size());
+
+  // Sort each row's entries by column (the order Sum walks the scattered
+  // row in); a repeated column would have been one scattered entry.
+  std::vector<std::pair<int, Scalar>> row_entries;
+  for (int r = 0; r < rows; ++r) {
+    const int begin = targets.offsets[static_cast<size_t>(r)];
+    const int end = targets.offsets[static_cast<size_t>(r) + 1];
+    TGSIM_CHECK_LE(begin, end);
+    row_entries.clear();
+    for (int e = begin; e < end; ++e)
+      row_entries.emplace_back(targets.cols[static_cast<size_t>(e)],
+                               targets.weights[static_cast<size_t>(e)]);
+    std::sort(row_entries.begin(), row_entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (int e = begin; e < end; ++e) {
+      const auto [c, w] = row_entries[static_cast<size_t>(e - begin)];
+      TGSIM_CHECK(c >= 0 && c < cols);
+      TGSIM_CHECK(e == begin || c > targets.cols[static_cast<size_t>(e) - 1]);
+      targets.cols[static_cast<size_t>(e)] = c;
+      targets.weights[static_cast<size_t>(e)] = w;
+    }
+  }
+
+  std::vector<Scalar> log_z(static_cast<size_t>(rows));
+  parallel::ParallelFor(
+      0, rows, RowGrain(cols), [&](int64_t r0, int64_t r1) {
+        std::vector<Scalar> scratch(static_cast<size_t>(cols));
+        for (int64_t ri = r0; ri < r1; ++ri) {
+          const int r = static_cast<int>(ri);
+          const Scalar m = kernels::RowMax(x.row(r), cols);
+          const Scalar z = kernels::ExpRowSum(x.row(r), m, scratch.data(),
+                                              cols);
+          log_z[static_cast<size_t>(r)] = m + std::log(z);
+        }
+      });
+  Scalar total = 0.0;
+  for (int r = 0; r < rows; ++r)
+    for (int e = targets.offsets[static_cast<size_t>(r)];
+         e < targets.offsets[static_cast<size_t>(r) + 1]; ++e)
+      total += (x.at(r, targets.cols[static_cast<size_t>(e)]) -
+                log_z[static_cast<size_t>(r)]) *
+               targets.weights[static_cast<size_t>(e)];
+  const Scalar scale = -1.0 / static_cast<Scalar>(rows);
+  Tensor out(1, 1);
+  out.at(0, 0) = total * scale;
+
+  return MakeOp(
+      std::move(out), {logits},
+      [t = std::move(targets), log_z = std::move(log_z), scale](Node& self) {
+        auto& pa = self.parents[0];
+        if (!NeedsGrad(pa)) return;
+        pa->EnsureGrad();
+        const Scalar g_entry = 0.0 + (0.0 + scale * self.grad.at(0, 0));
+        const int cols = pa->value.cols();
+        parallel::ParallelFor(
+            0, pa->value.rows(), RowGrain(cols),
+            [&](int64_t r0, int64_t r1) {
+              std::vector<Scalar> go(static_cast<size_t>(cols), 0.0);
+              std::vector<Scalar> p(static_cast<size_t>(cols));
+              for (int64_t ri = r0; ri < r1; ++ri) {
+                const int r = static_cast<int>(ri);
+                const int begin = t.offsets[static_cast<size_t>(r)];
+                const int end = t.offsets[static_cast<size_t>(r) + 1];
+                Scalar gsum = 0.0;
+                for (int e = begin; e < end; ++e) {
+                  const Scalar ge =
+                      0.0 + g_entry * t.weights[static_cast<size_t>(e)];
+                  go[static_cast<size_t>(t.cols[static_cast<size_t>(e)])] =
+                      ge;
+                  gsum += ge;
+                }
+                kernels::ExpRow(pa->value.row(r),
+                                log_z[static_cast<size_t>(r)], p.data(),
+                                cols);
+                kernels::LogSoftmaxBwdRow(go.data(), p.data(), gsum,
+                                          pa->grad.row(r), cols);
+                for (int e = begin; e < end; ++e)
+                  go[static_cast<size_t>(t.cols[static_cast<size_t>(e)])] =
+                      0.0;
+              }
+            });
+      });
 }
 
 Var SampledSoftmaxCrossEntropy(const Var& logits,

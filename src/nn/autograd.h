@@ -77,6 +77,12 @@ void Backward(const Var& root);
 
 /// Matrix product a @ b.
 Var MatMul(const Var& a, const Var& b);
+/// a @ w + b with `b` a 1 x w.cols() bias row broadcast over a's rows: the
+/// fused form of Add(MatMul(a, w), b). Value and gradients are
+/// bit-identical to that composition (the bias gradient is reduced in
+/// ascending row order), but no second rows x cols tensor is allocated
+/// for the sum or for its gradient.
+Var Affine(const Var& a, const Var& w, const Var& b);
 /// Elementwise a + b; if b is 1 x cols it broadcasts over a's rows.
 Var Add(const Var& a, const Var& b);
 /// Elementwise a - b (same shape).
@@ -136,7 +142,8 @@ Var Transpose(const Var& a);
 
 /// Mean over rows of -<target_row, log_softmax(logit_row)>. This is the
 /// reconstruction term of the paper's Eq. 6/7 where each target row is the
-/// (normalized) adjacency row A_{u^t}.
+/// (normalized) adjacency row A_{u^t}. The nonzero entries of `targets`
+/// are scored through the sparse-target overload below.
 Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets);
 
 /// Sparse per-row targets in CSR form: row i owns the entries
@@ -155,6 +162,15 @@ struct SparseRowTargets {
   }
   void FinishRow() { offsets.push_back(static_cast<int>(cols.size())); }
 };
+
+/// RowCrossEntropyWithLogits with the targets given sparsely, in the
+/// logits' own (global) column space: the dense n-wide loss without a
+/// dense target tensor. Entries of a row may come in any order; a column
+/// may appear at most once per row. Value and gradient are bit-identical
+/// to Scale(Sum(Mul(LogSoftmaxRows(logits), Var::Constant(T))), -1.0 / R)
+/// on the scattered targets T, while the op allocates no rows x cols
+/// tensor of its own.
+Var RowCrossEntropyWithLogits(const Var& logits, SparseRowTargets targets);
 
 /// Sampled-softmax cross entropy: mean over rows of
 /// -sum_j w_j * log_softmax(logit_row)[c_j], with the softmax taken over

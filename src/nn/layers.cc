@@ -16,9 +16,7 @@ Linear::Linear(Rng& rng, int in_features, int out_features, bool bias)
 }
 
 Var Linear::Forward(const Var& x) const {
-  Var y = MatMul(x, w_);
-  if (has_bias_) y = Add(y, b_);
-  return y;
+  return has_bias_ ? Affine(x, w_, b_) : MatMul(x, w_);
 }
 
 Var Activate(const Var& x, Activation act) {

@@ -1,7 +1,10 @@
 #include "nn/autograd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -230,6 +233,24 @@ std::vector<OpCase> AllOpCases() {
                      return RowCrossEntropyWithLogits(p[0], target);
                    },
                    {{3, 4}}});
+  cases.push_back({"row_cross_entropy_sparse",
+                   [](const std::vector<Var>& p) {
+                     SparseRowTargets t;
+                     t.AppendEntry(3, 0.25);  // Columns out of order.
+                     t.AppendEntry(0, 0.75);
+                     t.FinishRow();
+                     t.FinishRow();  // Empty row: zero contribution.
+                     t.AppendEntry(4, 0.5);
+                     t.AppendEntry(2, 0.5);
+                     t.FinishRow();
+                     return RowCrossEntropyWithLogits(p[0], t);
+                   },
+                   {{3, 5}}});
+  cases.push_back({"affine",
+                   [](const std::vector<Var>& p) {
+                     return Sum(Square(Affine(p[0], p[1], p[2])));
+                   },
+                   {{4, 3}, {3, 5}, {1, 5}}});
   cases.push_back({"bce_with_logits",
                    [](const std::vector<Var>& p) {
                      Tensor target(3, 3);
@@ -360,6 +381,123 @@ TEST(OpDeathTest, SampledSoftmaxRejectsShapeMismatch) {
   bad_col.FinishRow();
   EXPECT_DEATH(SampledSoftmaxCrossEntropy(Var::Constant(logits), bad_col),
                "CHECK failed");
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(Scalar)) == 0;
+}
+
+TEST(FusedOpTest, SparseRowCrossEntropyIsTheCompositionBitForBit) {
+  // The fused loss must reproduce the composition it replaced, value and
+  // gradient, under an upstream gradient other than 1, with an empty row
+  // and with rows whose columns arrive out of order. Rows carry up to a
+  // dozen uneven weights, so chaining them in any order other than the
+  // composition's (ascending columns) changes the rounding.
+  Rng rng = MakeRng(5);
+  const int rows = 5, cols = 40;
+  const Tensor x = Tensor::Randn(rng, rows, cols, 3.0);
+  SparseRowTargets sparse;
+  for (int r = 0; r < rows; ++r) {
+    const int count = r == 1 ? 0 : 4 + 2 * r;  // Row 1 is empty.
+    std::vector<int> picked;
+    while (static_cast<int>(picked.size()) < count) {
+      const int c = static_cast<int>(rng.UniformInt(cols));
+      if (std::find(picked.begin(), picked.end(), c) != picked.end()) continue;
+      picked.push_back(c);
+      sparse.AppendEntry(c, rng.Uniform(0.05, 1.0));
+    }
+    sparse.FinishRow();
+  }
+  Tensor dense(rows, cols);
+  for (int r = 0; r < rows; ++r)
+    for (int e = sparse.offsets[static_cast<size_t>(r)];
+         e < sparse.offsets[static_cast<size_t>(r) + 1]; ++e)
+      dense.at(r, sparse.cols[static_cast<size_t>(e)]) =
+          sparse.weights[static_cast<size_t>(e)];
+
+  Var ref_x = Var::Param(x);
+  Var ref = Scale(Scale(Sum(Mul(LogSoftmaxRows(ref_x), Var::Constant(dense))),
+                        -1.0 / rows),
+                  0.37);
+  Backward(ref);
+  Var sparse_x = Var::Param(x);
+  Var fused = Scale(RowCrossEntropyWithLogits(sparse_x, sparse), 0.37);
+  Backward(fused);
+  Var dense_x = Var::Param(x);
+  Var via_dense = Scale(RowCrossEntropyWithLogits(dense_x, dense), 0.37);
+  Backward(via_dense);
+
+  EXPECT_TRUE(SameBits(ref.value(), fused.value()));
+  EXPECT_TRUE(SameBits(ref_x.grad(), sparse_x.grad()));
+  EXPECT_TRUE(SameBits(ref.value(), via_dense.value()));
+  EXPECT_TRUE(SameBits(ref_x.grad(), dense_x.grad()));
+}
+
+TEST(FusedOpTest, AffineIsAddOfMatMulBitForBit) {
+  // One multi-row case (the broadcast bias of Add) and one single-row case
+  // (Add's same-shape branch); the bias gradient starts non-zero so its
+  // ascending-row reduction is checked as an accumulation.
+  for (int rows : {6, 1}) {
+    SCOPED_TRACE(rows);
+    Rng rng = MakeRng(9);
+    const Tensor a = Tensor::Randn(rng, rows, 5);
+    const Tensor w = Tensor::Randn(rng, 5, 7);
+    const Tensor b = Tensor::Randn(rng, 1, 7);
+    const Tensor seed = Tensor::Randn(rng, 1, 7);
+    const Tensor mix = Tensor::Randn(rng, rows, 7);
+    auto run = [&](bool fused) {
+      std::vector<Var> p = {Var::Param(a), Var::Param(w), Var::Param(b)};
+      p[2].mutable_grad() = seed;
+      Var y = fused ? Affine(p[0], p[1], p[2])
+                    : Add(MatMul(p[0], p[1]), p[2]);
+      Var loss = Scale(Sum(Mul(Square(y), Var::Constant(mix))), 0.37);
+      Backward(loss);
+      return std::make_pair(loss, p);
+    };
+    auto [ref, ref_p] = run(false);
+    auto [got, got_p] = run(true);
+    EXPECT_TRUE(SameBits(ref.value(), got.value()));
+    for (size_t i = 0; i < ref_p.size(); ++i)
+      EXPECT_TRUE(SameBits(ref_p[i].grad(), got_p[i].grad())) << "param " << i;
+  }
+}
+
+TEST(OpDeathTest, RowCrossEntropyRejectsBadTargets) {
+  Tensor logits(2, 3);
+  SparseRowTargets out_of_range;
+  out_of_range.AppendEntry(3, 1.0);
+  out_of_range.FinishRow();
+  out_of_range.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), out_of_range),
+               "CHECK failed");
+  SparseRowTargets negative;
+  negative.FinishRow();
+  negative.AppendEntry(-1, 1.0);
+  negative.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), negative),
+               "CHECK failed");
+  SparseRowTargets repeated;
+  repeated.AppendEntry(2, 0.5);
+  repeated.AppendEntry(0, 0.25);
+  repeated.AppendEntry(2, 0.25);
+  repeated.FinishRow();
+  repeated.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), repeated),
+               "CHECK failed");
+  SparseRowTargets one_row;
+  one_row.AppendEntry(0, 1.0);
+  one_row.FinishRow();
+  EXPECT_DEATH(RowCrossEntropyWithLogits(Var::Constant(logits), one_row),
+               "CHECK failed");
+}
+
+TEST(OpDeathTest, AffineRejectsNonRowBias) {
+  Var a = Var::Constant(Tensor(2, 3));
+  Var w = Var::Constant(Tensor(3, 4));
+  EXPECT_DEATH(Affine(a, w, Var::Constant(Tensor(2, 4))), "CHECK failed");
+  EXPECT_DEATH(Affine(a, w, Var::Constant(Tensor(1, 3))), "CHECK failed");
 }
 
 TEST(OpValueTest, MatMulMatchesManual) {

@@ -318,6 +318,41 @@ TEST(DeterminismSweepTest, SegmentOpsAreThreadCountInvariant) {
           << "variant " << v << " tensor " << i;
 }
 
+TEST(DeterminismSweepTest, DenseLossIsThreadCountInvariant) {
+  // 300 rows of 257 logits span three RowGrain chunks, so the fused
+  // loss's parallel log-normalizer and backward passes (and the Affine
+  // decode feeding them) are split differently at each thread count.
+  auto run = [] {
+    Rng rng(13);
+    const int rows = 300, cols = 257, d = 16;
+    nn::Var h = nn::Var::Param(nn::Tensor::Randn(rng, rows, d));
+    nn::Var w = nn::Var::Param(nn::Tensor::Randn(rng, d, cols));
+    nn::Var b = nn::Var::Param(nn::Tensor::Randn(rng, 1, cols));
+    nn::SparseRowTargets targets;
+    for (int r = 0; r < rows; ++r) {
+      const int count = r % 7;  // Every seventh row is empty.
+      for (int k = 0; k < count; ++k)
+        targets.AppendEntry((r * 31 + k * 37) % cols, 1.0 / count);
+      targets.FinishRow();
+    }
+    nn::Var logits = nn::Affine(h, w, b);
+    nn::Var loss = nn::RowCrossEntropyWithLogits(logits, targets);
+    nn::Backward(loss);
+    std::vector<nn::Tensor> out;
+    out.push_back(loss.value());
+    out.push_back(logits.grad());
+    out.push_back(h.grad());
+    out.push_back(w.grad());
+    out.push_back(b.grad());
+    return out;
+  };
+  auto results = SweepThreadCounts(run);
+  for (size_t v = 1; v < results.size(); ++v)
+    for (size_t i = 0; i < results[0].size(); ++i)
+      EXPECT_TRUE(BitIdentical(results[0][i], results[v][i]))
+          << "variant " << v << " tensor " << i;
+}
+
 TEST(DeterminismSweepTest, MetricsAreThreadCountInvariant) {
   graphs::TemporalGraph real = datasets::MakeMimicByName("DBLP", 0.03, 5);
   graphs::TemporalGraph gen = datasets::MakeMimicByName("DBLP", 0.03, 9);

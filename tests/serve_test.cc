@@ -3,9 +3,13 @@
 // protocol error paths (the server must answer garbage with Status-typed
 // replies, never crash). Runs under the TSan CI job.
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -283,6 +287,13 @@ TEST(ServeCacheTest, ServedRepliesByteMatchAcrossEvictionChurn) {
 // Serve-side model refresh: the update op.
 // ---------------------------------------------------------------------------
 
+std::string FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 /// Copies an artifact to its own path so update tests never mutate the
 /// shared FitArtifact files the other tests read.
 std::string CopyArtifact(const std::string& src, const std::string& name) {
@@ -396,12 +407,7 @@ TEST(ServeUpdateTest, ServeUpdateMatchesCliUpdateByteForByte) {
                                  offline, lineage)
                   .ok());
 
-  std::ifstream a(served, std::ios::binary), b(offline, std::ios::binary);
-  std::string served_bytes((std::istreambuf_iterator<char>(a)),
-                           std::istreambuf_iterator<char>());
-  std::string offline_bytes((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(served_bytes, offline_bytes);
+  EXPECT_EQ(FileContents(served), FileContents(offline));
 }
 
 TEST(ServeUpdateTest, ConcurrentGeneratesAcrossUpdateStayByteIdentical) {
@@ -465,6 +471,65 @@ TEST(ServeUpdateTest, ConcurrentGeneratesAcrossUpdateStayByteIdentical) {
       server.value()->Handle(GenerateRequest("alpha", kSeed));
   ASSERT_TRUE(FindField(final_reply, "ok")->AsBoolOr(false));
   EXPECT_EQ(FindField(final_reply, "payload")->AsString(), after);
+}
+
+/// Caps the size of any file this process writes at `bytes`, with SIGXFSZ
+/// ignored so an oversize write fails with EFBIG instead of killing the
+/// process. Restores the previous limit and handler on destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes)
+      : previous_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &previous_limit_), 0);
+    rlimit limited = previous_limit_;
+    limited.rlim_cur = bytes;
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &previous_limit_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  using SignalHandler = void (*)(int);
+  SignalHandler previous_handler_;
+  rlimit previous_limit_{};
+};
+
+TEST(ServeUpdateTest, FailedArtifactWriteKeepsArtifactAndServedModel) {
+  // Fault injection: a file-size limit below the artifact's size makes the
+  // update's .tmp write fail partway. The reply must be an IoError, the
+  // .tmp must be gone, and both the artifact on disk and the served model
+  // must still be the pre-update ones.
+  const std::string artifact =
+      CopyArtifact(TestModels()[0].path, "serve_update_efbig.tgsim");
+  const std::string delta_path = WriteAlphaDelta("serve_update_efbig_delta.txt");
+  const std::string artifact_bytes = FileContents(artifact);
+  const std::string before = SerialPayload(artifact, 5);
+
+  serve::ServeOptions options;
+  options.models = {{"alpha", artifact}};
+  Result<std::unique_ptr<serve::Server>> server =
+      serve::Server::Create(std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  serve::Json first = server.value()->Handle(GenerateRequest("alpha", 5));
+  ASSERT_TRUE(FindField(first, "ok")->AsBoolOr(false)) << first.Serialize();
+
+  serve::Json reply;
+  {
+    FileSizeLimit limit(static_cast<rlim_t>(artifact_bytes.size() / 2));
+    reply = server.value()->Handle(UpdateRequest("alpha", delta_path, 99));
+  }
+  EXPECT_FALSE(FindField(reply, "ok")->AsBoolOr(true)) << reply.Serialize();
+  EXPECT_EQ(FindField(reply, "code")->AsString(), "IoError");
+  EXPECT_FALSE(std::ifstream(artifact + ".tmp").is_open());
+  EXPECT_EQ(FileContents(artifact), artifact_bytes);
+
+  serve::Json after = server.value()->Handle(GenerateRequest("alpha", 5));
+  ASSERT_TRUE(FindField(after, "ok")->AsBoolOr(false)) << after.Serialize();
+  EXPECT_EQ(FindField(after, "payload")->AsString(), before);
 }
 
 TEST(ServeUpdateTest, UpdateUnknownModelIsNotFound) {
