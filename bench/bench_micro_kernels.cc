@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <utility>
 
@@ -94,99 +93,6 @@ BENCHMARK(BM_ParallelForOverhead)
     ->Args({1 << 18, 1 << 15})
     ->Args({1 << 21, 1 << 15})
     ->UseRealTime();
-
-/// Candidate-set vs dense decode cost: one chunk of `rows` decoded rows
-/// against an n-node decoder weight. Each row's support holds 8 columns
-/// drawn from a hub pool of n/10 nodes, mirroring the skew of real
-/// temporal neighborhoods; the sparse path scores only the support-union
-/// columns (GatherCols + narrow matmul, the sampled-softmax decode), the
-/// dense path the full n-wide row. Both finish with a per-row support
-/// normalization. Generate no longer uses either: it scores each support
-/// column with one dot product.
-struct DecodeFixture {
-  nn::Var rows_h, w, b;
-  std::vector<std::vector<int>> supports;
-  std::vector<int> candidates;
-  std::vector<int> slot;  // node id -> candidate column.
-};
-
-DecodeFixture MakeDecodeFixture(int n, int rows) {
-  const int d = 32;
-  const int per_row = 8;
-  const int pool = std::max(per_row + 1, n / 10);
-  Rng rng(7);
-  DecodeFixture f;
-  f.rows_h = nn::Var::Constant(nn::Tensor::Randn(rng, rows, d));
-  f.w = nn::Var::Param(nn::Tensor::Randn(rng, d, n));
-  f.b = nn::Var::Param(nn::Tensor::Randn(rng, 1, n));
-  f.slot.assign(static_cast<size_t>(n), -1);
-  f.supports.resize(static_cast<size_t>(rows));
-  for (auto& support : f.supports) {
-    while (static_cast<int>(support.size()) < per_row) {
-      int v = static_cast<int>(rng.UniformInt(pool));
-      if (std::find(support.begin(), support.end(), v) != support.end())
-        continue;
-      support.push_back(v);
-      if (f.slot[static_cast<size_t>(v)] < 0) {
-        f.slot[static_cast<size_t>(v)] =
-            static_cast<int>(f.candidates.size());
-        f.candidates.push_back(v);
-      }
-    }
-  }
-  return f;
-}
-
-/// Support-normalized categorical weights of one row (what Generate draws
-/// from); `col_of` maps a support node to its logits column.
-template <typename ColOf>
-double SupportWeightChecksum(const nn::Tensor& logits, int row,
-                             const std::vector<int>& support,
-                             const ColOf& col_of) {
-  double m = -1e300;
-  for (int v : support) m = std::max(m, logits.at(row, col_of(v)));
-  double acc = 0.0;
-  for (int v : support) acc += std::exp(logits.at(row, col_of(v)) - m);
-  return acc;
-}
-
-void BM_DecodeDense(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int rows = static_cast<int>(state.range(1));
-  DecodeFixture f = MakeDecodeFixture(n, rows);
-  for (auto _ : state) {
-    nn::Var logits = nn::Add(nn::MatMul(f.rows_h, f.w), f.b);
-    double acc = 0.0;
-    for (int r = 0; r < rows; ++r)
-      acc += SupportWeightChecksum(logits.value(), r,
-                                   f.supports[static_cast<size_t>(r)],
-                                   [](int v) { return v; });
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["cols"] = static_cast<double>(n);
-}
-BENCHMARK(BM_DecodeDense)->Args({2000, 64})->Args({4000, 64})
-    ->Args({2000, 256});
-
-void BM_DecodeSparse(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int rows = static_cast<int>(state.range(1));
-  DecodeFixture f = MakeDecodeFixture(n, rows);
-  for (auto _ : state) {
-    nn::Var w_cols = nn::GatherCols(f.w, f.candidates);
-    nn::Var logits = nn::Add(nn::MatMul(f.rows_h, w_cols),
-                             nn::GatherCols(f.b, f.candidates));
-    double acc = 0.0;
-    for (int r = 0; r < rows; ++r)
-      acc += SupportWeightChecksum(
-          logits.value(), r, f.supports[static_cast<size_t>(r)],
-          [&](int v) { return f.slot[static_cast<size_t>(v)]; });
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["cols"] = static_cast<double>(f.candidates.size());
-}
-BENCHMARK(BM_DecodeSparse)->Args({2000, 64})->Args({4000, 64})
-    ->Args({2000, 256});
 
 /// One preset=paper training step over the dense n-wide decode, at the
 /// shape of the serve-mixed e2ebench live model's fit (1354 decoded rows,
@@ -319,67 +225,6 @@ void BM_KernelExpRowSumScalarRef(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KernelExpRowSumScalarRef)->Arg(4096);
-
-/// The untied-decoder full-row decode, before and after the transpose
-/// panel: 64 decoded rows against an n-node decoder. StridedRef is the
-/// old inner product walking w.at(k, v) down column v (stride-n loads);
-/// Panel is DenseLogitsRow's k-major 4-column DotPanel4 layout. The
-/// panel is built once outside the timing loop, matching DecodePanel's
-/// cache-across-rows behavior in generation.
-void BM_DecodeUntiedStridedRef(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int d = 32;
-  const int rows = 64;
-  Rng rng(13);
-  nn::Tensor w = nn::Tensor::Randn(rng, d, n);
-  nn::Tensor h = nn::Tensor::Randn(rng, rows, d);
-  nn::Tensor bias = nn::Tensor::Randn(rng, 1, n);
-  std::vector<nn::Scalar> out(static_cast<size_t>(n));
-  for (auto _ : state) {
-    for (int r = 0; r < rows; ++r) {
-      const nn::Scalar* hr = h.row(r);
-      for (int v = 0; v < n; ++v) {
-        nn::Scalar acc = 0.0;
-        for (int k = 0; k < d; ++k) acc += hr[k] * w.at(k, v);
-        out[static_cast<size_t>(v)] = acc + bias.at(0, v);
-      }
-      benchmark::DoNotOptimize(out.data());
-    }
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * rows * n);
-}
-BENCHMARK(BM_DecodeUntiedStridedRef)->Arg(2048);
-
-void BM_DecodeUntiedPanel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int d = 32;
-  const int rows = 64;
-  Rng rng(13);
-  nn::Tensor w = nn::Tensor::Randn(rng, d, n);
-  nn::Tensor h = nn::Tensor::Randn(rng, rows, d);
-  nn::Tensor bias = nn::Tensor::Randn(rng, 1, n);
-  const int blocks = (n + 3) / 4;
-  std::vector<nn::Scalar> panel(static_cast<size_t>(blocks) * d * 4, 0.0);
-  for (int k = 0; k < d; ++k)
-    for (int v = 0; v < n; ++v)
-      panel[static_cast<size_t>(v / 4) * d * 4 + static_cast<size_t>(k) * 4 +
-            (v % 4)] = w.at(k, v);
-  std::vector<nn::Scalar> out(static_cast<size_t>(blocks) * 4);
-  for (auto _ : state) {
-    for (int r = 0; r < rows; ++r) {
-      const nn::Scalar* hr = h.row(r);
-      for (int v = 0; v < n; v += 4)
-        nn::kernels::DotPanel4(
-            hr, panel.data() + static_cast<size_t>(v / 4) * d * 4, d,
-            out.data() + v);
-      nn::kernels::AddRow(out.data(), bias.row(0), n);
-      benchmark::DoNotOptimize(out.data());
-    }
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * rows * n);
-}
 
 void BM_SegmentSoftmax(benchmark::State& state) {
   const int edges = static_cast<int>(state.range(0));
@@ -523,9 +368,6 @@ void RegisterSimdKernelBenches() {
       ->Arg(4096);
   benchmark::RegisterBenchmark("BM_KernelExpRowSum", BM_KernelExpRowSum)
       ->Arg(4096);
-  benchmark::RegisterBenchmark("BM_DecodeUntiedPanel", BM_DecodeUntiedPanel)
-      ->Arg(2048)
-      ->Arg(8192);
 }
 
 }  // namespace

@@ -38,8 +38,6 @@ BENCH_storage.json, BENCH_update.json). Three checks:
      - BM_KernelExpRowSum/4096 and BM_KernelRowMax/4096 >= 1.5x their
        ScalarRef replicas (the explicit-SIMD kernel-layer bar; only
        emitted when a SIMD backend is active), and
-     - BM_DecodeUntiedPanel/2048 >= 2x BM_DecodeUntiedStridedRef/2048
-       (the transpose-panel untied-decode bar), and
      - BM_DenseLossStep/1354/954/32 >= 1.5x
        BM_DenseLossStepComposedRef/1354/954/32 (the fused dense-loss bar:
        Affine decode + sparse-target loss + Backward vs the composition
@@ -66,8 +64,6 @@ HARD_RATIO_GATES = [
     # SIMD backend is active, so forced-scalar runs skip these gates.
     ("BM_KernelExpRowSum/4096", "BM_KernelExpRowSumScalarRef/4096", 1.5),
     ("BM_KernelRowMax/4096", "BM_KernelRowMaxScalarRef/4096", 1.5),
-    # Transpose-panel untied decode vs the old stride-n column walk.
-    ("BM_DecodeUntiedPanel/2048", "BM_DecodeUntiedStridedRef/2048", 2.0),
     # Fused dense training step vs the op-by-op composition it replaced
     # (2.3-3.6x at one thread on a 4-vCPU Xeon; floored like the kernel
     # gates).

@@ -53,27 +53,14 @@ echo "Wrote ${STORAGE_OUT}"
 
 echo "Wrote ${UPDATE_OUT}"
 
-# Headline summaries in the CI log: the dense-vs-sparse decode speedup from
-# the kernel suite, artifact round-trip latency, and the sampler-conversion
-# speedups (shipped path vs its ...Ref pre-conversion replica) from the
-# generation suite.
+# Headline summaries in the CI log: artifact round-trip latency from the
+# kernel suite, and the speedups of the generation, storage and update
+# suites (shipped path vs its ...Ref pre-conversion replica).
 if command -v python3 > /dev/null; then
   python3 - "${OUT}" "${GEN_OUT}" "${STORAGE_OUT}" "${UPDATE_OUT}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     runs = json.load(f).get("benchmarks", [])
-times = {b["name"]: b["real_time"] for b in runs if "real_time" in b}
-pairs = sorted(
-    name.split("BM_DecodeDense", 1)[1]
-    for name in times if name.startswith("BM_DecodeDense"))
-if pairs:
-    print("decode speedup (dense / sparse real_time):")
-for args in pairs:
-    dense, sparse = times.get(f"BM_DecodeDense{args}"), times.get(
-        f"BM_DecodeSparse{args}")
-    if dense and sparse:
-        print(f"  n/rows{args}: {dense / sparse:.1f}x")
-
 # Artifact save+load latency (the fixed cost of fit-once/serve-many;
 # BM_ArtifactSaveLoad rows carry the file size as artifact_bytes).
 artifact = [b for b in runs if b["name"].startswith("BM_ArtifactSaveLoad")]

@@ -158,7 +158,7 @@ Status DymondGenerator::LoadState(std::istream& in) {
   return Status::Ok();
 }
 
-graphs::TemporalGraph DymondGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph DymondGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK_GT(shape_.num_nodes, 0);
   graphs::TemporalGraph g(shape_.num_nodes, shape_.num_timestamps);
 

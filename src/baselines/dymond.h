@@ -19,7 +19,7 @@ class DymondGenerator : public TemporalGraphGenerator {
  public:
   std::string name() const override { return "DYMOND"; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;

@@ -64,7 +64,7 @@ int64_t ErdosRenyiGenerator::ResidentStateBytes() const {
   return ShapeOnlyResidentBytes(shape_, sizeof(*this));
 }
 
-graphs::TemporalGraph ErdosRenyiGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph ErdosRenyiGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK_GT(shape_.num_nodes, 0);
   graphs::TemporalGraph g(shape_.num_nodes, shape_.num_timestamps);
   const int n = shape_.num_nodes;
@@ -104,7 +104,7 @@ int64_t BarabasiAlbertGenerator::ResidentStateBytes() const {
   return ShapeOnlyResidentBytes(shape_, sizeof(*this));
 }
 
-graphs::TemporalGraph BarabasiAlbertGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph BarabasiAlbertGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK_GT(shape_.num_nodes, 0);
   graphs::TemporalGraph g(shape_.num_nodes, shape_.num_timestamps);
   const int n = shape_.num_nodes;

@@ -13,7 +13,7 @@ class ErdosRenyiGenerator : public TemporalGraphGenerator {
   std::string name() const override { return "E-R"; }
   bool is_learning_based() const override { return false; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;
@@ -36,7 +36,7 @@ class BarabasiAlbertGenerator : public TemporalGraphGenerator {
   std::string name() const override { return "B-A"; }
   bool is_learning_based() const override { return false; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;

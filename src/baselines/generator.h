@@ -21,6 +21,12 @@ namespace tgsim::baselines {
 /// Generate() may not read the observed graph passed to Fit (generators
 /// copy whatever support structures they need), so a generator restored
 /// with LoadState serves without the training data.
+///
+/// Generate() is const and reads only the fitted state, which changes
+/// only in Fit(), Update() and LoadState(). Concurrent Generate() calls on
+/// one instance are therefore safe, and each result depends only on its
+/// Rng; the serve daemon relies on this to answer concurrent requests for
+/// one model without a lock.
 class TemporalGraphGenerator {
  public:
   virtual ~TemporalGraphGenerator() = default;
@@ -32,7 +38,8 @@ class TemporalGraphGenerator {
   virtual void Fit(const graphs::TemporalGraph& observed, Rng& rng) = 0;
 
   /// Simulates a new temporal graph. Requires a prior Fit() or LoadState().
-  virtual graphs::TemporalGraph Generate(Rng& rng) = 0;
+  /// Safe to call concurrently (see the class comment).
+  virtual graphs::TemporalGraph Generate(Rng& rng) const = 0;
 
   /// Incrementally absorbs a batch of new observations into an already
   /// fitted generator — the fit-once/serve-forever path. `delta` carries

@@ -112,7 +112,7 @@ SnapshotScores NetGanGenerator::FitSnapshotScores(
   return out;
 }
 
-graphs::TemporalGraph NetGanGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph NetGanGenerator::Generate(Rng& rng) const {
   return GenerateFromScores(shape_, store_, rng);
 }
 

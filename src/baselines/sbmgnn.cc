@@ -119,7 +119,7 @@ SnapshotScores SbmGnnGenerator::FitSnapshotScores(
   return out;
 }
 
-graphs::TemporalGraph SbmGnnGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph SbmGnnGenerator::Generate(Rng& rng) const {
   return GenerateFromScores(shape_, store_, rng);
 }
 

@@ -37,7 +37,7 @@ class SbmGnnGenerator : public TemporalGraphGenerator {
 
   std::string name() const override { return "SBMGNN"; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;

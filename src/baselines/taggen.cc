@@ -209,7 +209,7 @@ int64_t TagGenGenerator::ResidentStateBytes() const {
   return bytes;
 }
 
-graphs::TemporalGraph TagGenGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph TagGenGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(support_ != nullptr);  // Requires a Fit() or LoadState().
   const nn::Tensor& ne = node_emb_->table().value();
   const nn::Tensor& te = time_emb_->table().value();

@@ -44,7 +44,7 @@ class TagGenGenerator : public TemporalGraphGenerator {
 
   std::string name() const override { return "TagGen"; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;

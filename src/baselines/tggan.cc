@@ -251,7 +251,7 @@ int64_t TgganGenerator::ResidentStateBytes() const {
   return bytes;
 }
 
-graphs::TemporalGraph TgganGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph TgganGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(g_init_ != nullptr);  // Requires a Fit() or LoadState().
   const int64_t budget = shape_.total_edges();
   const int n = shape_.num_nodes;

@@ -45,7 +45,7 @@ class TgganGenerator : public TemporalGraphGenerator {
 
   std::string name() const override { return "TGGAN"; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   /// Bounded adversarial warm start against walks drawn from the delta
   /// (a fresh discriminator; the trained generator network is the prior).
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;

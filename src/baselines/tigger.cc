@@ -195,7 +195,7 @@ int64_t TiggerGenerator::ResidentStateBytes() const {
   return bytes;
 }
 
-graphs::TemporalGraph TiggerGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph TiggerGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(starts_ != nullptr);  // Requires a Fit() or LoadState().
   const graphs::InitialNodeSampler& starts = *starts_;
   const int64_t budget = shape_.total_edges();

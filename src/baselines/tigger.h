@@ -39,7 +39,7 @@ class TiggerGenerator : public TemporalGraphGenerator {
 
   std::string name() const override { return "TIGGER"; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
   Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
   Status SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;

@@ -154,7 +154,7 @@ SnapshotScores VgaeGenerator::FitSnapshotScores(
   return out;
 }
 
-graphs::TemporalGraph VgaeGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph VgaeGenerator::Generate(Rng& rng) const {
   return GenerateFromScores(shape_, store_, rng);
 }
 

@@ -295,54 +295,16 @@ nn::SparseRowTargets TgaeGenerator::TargetRows(
   return targets;
 }
 
-const std::vector<nn::Scalar>& TgaeGenerator::DecodePanel(int d) const {
-  const int n = shape_.num_nodes;
-  const int blocks = (n + 3) / 4;
-  if (decode_panel_valid_) return decode_panel_;
-  decode_panel_.assign(static_cast<size_t>(blocks) * d * 4, 0.0);
+nn::Scalar TgaeGenerator::DecoderLogit(const nn::Scalar* h, int v) const {
+  const int d = config_.hidden_dim;
+  nn::Scalar dot;
   if (config_.tie_decoder) {
-    // Tied decoder: column v of W_dec is row v of the embedding table.
-    const nn::Tensor& table = node_emb_->table().value();
-    for (int v = 0; v < n; ++v) {
-      const nn::Scalar* col = table.row(v);
-      nn::Scalar* block = decode_panel_.data() +
-                          static_cast<size_t>(v / 4) * d * 4 + (v % 4);
-      for (int k = 0; k < d; ++k) block[4 * k] = col[k];
-    }
+    dot = nn::kernels::Dot(h, node_emb_->table().value().row(v), d);
   } else {
-    const nn::Tensor& w = w_dec_.value();
-    for (int k = 0; k < d; ++k) {
-      const nn::Scalar* wk = w.row(k);
-      for (int v = 0; v < n; ++v)
-        decode_panel_[static_cast<size_t>(v / 4) * d * 4 +
-                      static_cast<size_t>(k) * 4 + (v % 4)] = wk[v];
-    }
+    const nn::Tensor& w = w_dec_.value();  // d x n, row-major
+    dot = nn::kernels::DotStrided(h, w.data() + v, w.cols(), d);
   }
-  decode_panel_valid_ = true;
-  return decode_panel_;
-}
-
-std::vector<nn::Scalar> TgaeGenerator::DenseLogitsRow(const nn::Tensor& rows,
-                                                      int r) const {
-  const int n = shape_.num_nodes;
-  const int d = rows.cols();
-  const nn::Scalar* h = rows.row(r);
-  const nn::Tensor& bias = b_dec_.value();
-  // One DotPanel4 call scores four columns from a contiguous k-major
-  // panel block: each output keeps its own ascending-k chain, so the
-  // logits stay bit-identical to the strided per-column loop — and to the
-  // MatMul columns of the dense decode (the sparse-vs-dense generation
-  // pin depends on it) — while the loads run contiguous and four chains
-  // overlap instead of one.
-  const std::vector<nn::Scalar>& panel = DecodePanel(d);
-  std::vector<nn::Scalar> out(static_cast<size_t>(4 * ((n + 3) / 4)), 0.0);
-  for (int v = 0; v < n; v += 4)
-    nn::kernels::DotPanel4(h,
-                           panel.data() + static_cast<size_t>(v / 4) * d * 4,
-                           d, out.data() + v);
-  out.resize(static_cast<size_t>(n));  // drop the zero-padded tail columns
-  nn::kernels::AddRow(out.data(), bias.row(0), n);
-  return out;
+  return dot + b_dec_.value().row(0)[v];
 }
 
 void TgaeGenerator::BuildSamplers() {
@@ -452,7 +414,6 @@ void TgaeGenerator::TrainEpochs(int epochs,
     opt.Step();
     last_epoch_loss_ = loss.item();
   }
-  decode_panel_valid_ = false;  // decoder weights moved; repack lazily
 }
 
 Status TgaeGenerator::Update(const graphs::TemporalGraph& delta, Rng& rng) {
@@ -542,11 +503,10 @@ Status TgaeGenerator::LoadState(std::istream& in) {
   // Values come from the archive; the init rng only shapes the modules.
   Rng init(0);
   BuildModel(init);
-  decode_panel_valid_ = false;
   return serialize::ReadParamsInto(reader, "params", params_);
 }
 
-graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
+graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(support_ != nullptr);  // Requires a Fit() or LoadState().
   const int n = shape_.num_nodes;
   graphs::TemporalGraph out(n, shape_.num_timestamps);
@@ -613,13 +573,6 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
       DecodedBatch batch = Encode(egos, /*centers_only=*/true,
                                   /*stochastic=*/false, rng);
       const nn::Tensor& rows = batch.rows.value();
-      const int d = rows.cols();
-      const nn::Tensor& table = node_emb_->table().value();
-      const nn::Scalar* bias = b_dec_.value().row(0);
-      // Untied decoder columns are strided in W_dec; read them as lanes of
-      // the k-major decode panel instead.
-      const nn::Scalar* panel =
-          config_.tie_decoder ? nullptr : DecodePanel(d).data();
 
       for (size_t i = base; i < end; ++i) {
         const int row = static_cast<int>(i - base);
@@ -633,19 +586,8 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
         // n-wide decode on every preset.
         const nn::Scalar* h = rows.row(row);
         std::vector<nn::Scalar> sup_logits(support.size());
-        for (size_t c = 0; c < support.size(); ++c) {
-          const int v = support[c];
-          nn::Scalar dot;
-          if (panel == nullptr) {
-            dot = nn::kernels::Dot(h, table.row(v), d);
-          } else {
-            nn::Scalar lanes[4];
-            nn::kernels::DotPanel4(
-                h, panel + static_cast<size_t>(v / 4) * d * 4, d, lanes);
-            dot = lanes[v % 4];
-          }
-          sup_logits[c] = dot + bias[v];
-        }
+        for (size_t c = 0; c < support.size(); ++c)
+          sup_logits[c] = DecoderLogit(h, support[c]);
 
         // The categorical is normalized on the support directly: a
         // stabilized exp over the support logits times the ring prior. (A
@@ -667,13 +609,14 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) {
         // fallback: the n-wide row is built on demand (O(n d) for the rare
         // row instead of every row).
         auto full_row_probs = [&]() {
-          std::vector<nn::Scalar> p = DenseLogitsRow(rows, row);
-          const int count = static_cast<int>(p.size());
-          const nn::Scalar m = nn::kernels::RowMax(p.data(), count);
+          std::vector<nn::Scalar> p(static_cast<size_t>(n));
+          for (int v = 0; v < n; ++v)
+            p[static_cast<size_t>(v)] = DecoderLogit(h, v);
+          const nn::Scalar m = nn::kernels::RowMax(p.data(), n);
           // ExpRowSum in place (x == dst is full-alias-safe).
           const nn::Scalar z = nn::kernels::ExpRowSum(p.data(), m, p.data(),
-                                                      count);
-          nn::kernels::DivRow(p.data(), z, count);
+                                                      n);
+          nn::kernels::DivRow(p.data(), z, n);
           return p;
         };
 

@@ -123,7 +123,7 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
 
   std::string name() const override { return config_.display_name; }
   void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
 
   /// Incremental fit: merges `delta` into the owned support graph, rebuilds
   /// the samplers, and takes a bounded number of warm-start epochs whose
@@ -185,20 +185,12 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   nn::SparseRowTargets TargetRows(
       const std::vector<graphs::TemporalNodeRef>& row_nodes) const;
 
-  /// Dense logits of one decoded row (b + rows.row(r) . W_dec), built only
-  /// by the generation empty-support fallback, on every preset. Matches the
-  /// dense decode bit for bit: the k-major decode panel keeps one
-  /// ascending-k accumulation chain per output column (kernels::DotPanel4
-  /// runs four such chains at once).
-  std::vector<nn::Scalar> DenseLogitsRow(const nn::Tensor& rows,
-                                         int r) const;
-
-  /// Lazily (re)packs the decoder weight into the k-major 4-column-block
-  /// panel DenseLogitsRow and untied Generate read: panel[(block*d + k)*4
-  /// + j] holds column 4*block+j of W_dec (or of the tied table, transposed)
-  /// at depth k, zero-padded past n. Built on the generation (caller)
-  /// thread; invalidated whenever the decoder weights change.
-  const std::vector<nn::Scalar>& DecodePanel(int d) const;
+  /// Decoder logit of node `v` for the decoded row `h` (d_enc wide): one
+  /// ascending-k chain down column v of W_dec (a row of the embedding
+  /// table when tied) plus b_dec[v] — the exact value of that column of
+  /// the dense decode's MatMul. Generation scores support columns, and the
+  /// empty-support fallback the n-wide row, through it.
+  nn::Scalar DecoderLogit(const nn::Scalar* h, int v) const;
 
   /// Rebuilds the ego/initial samplers over the owned support graph
   /// (shared by Fit and LoadState).
@@ -232,12 +224,6 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   nn::Var w_dec_;
   nn::Var b_dec_;
   std::vector<nn::Var> params_;  // All trainable parameters, fixed order.
-
-  /// Cached k-major decode panel (see DecodePanel). Mutable: it is a pure
-  /// memoization of the decoder weights, rebuilt on first use after every
-  /// train/load, and only touched from the single generation thread.
-  mutable std::vector<nn::Scalar> decode_panel_;
-  mutable bool decode_panel_valid_ = false;
 
   double last_epoch_loss_ = 0.0;
 };

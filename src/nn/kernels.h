@@ -27,8 +27,7 @@ namespace tgsim::nn::kernels {
 ///    accumulation chain per OUTPUT: FP addition is not associative, and
 ///    the contract pins outputs bit-identical to the serial reference at
 ///    any thread count and on any backend. SIMD variants may only
-///    vectorize across independent outputs (DotPanel4 runs four such
-///    chains at once, one per lane).
+///    vectorize across independent outputs.
 ///  - ExpRowSum is the one sanctioned fixed-shape reduction: four
 ///    accumulators fed from consecutive indices, combined ((a0+a1)+a2)+a3,
 ///    with an ascending scalar tail. The shape depends only on n, so the
@@ -48,13 +47,12 @@ namespace tgsim::nn::kernels {
 /// Aliasing: elementwise kernels whose doc says "in place allowed" accept
 /// full aliasing (dst == src exactly); partial overlap is never allowed.
 ///
-/// `Dot` and `DotSum2` are intentionally the serial chain in EVERY
-/// backend: a single-accumulator FP add chain is latency-bound, lanes
+/// `Dot`, `DotStrided` and `DotSum2` are intentionally the serial chain in
+/// EVERY backend: a single-accumulator FP add chain is latency-bound, lanes
 /// cannot speed it up without changing the association, and the TGAE
 /// sparse/dense pin plus MatMul's per-column k-accumulation depend on that
 /// association. They bypass the dispatch table entirely so the compiler
-/// can keep inlining them into the generation hot loops. Batched decode
-/// throughput comes from DotPanel4 instead.
+/// can keep inlining them into the generation hot loops.
 
 namespace detail {
 
@@ -198,29 +196,6 @@ inline Scalar DotSum2(const Scalar* TGSIM_RESTRICT a,
   Scalar s = 0.0;
   for (int k = 0; k < n; ++k) s += a[k] * (b1[k] + b2[k]);
   return s;
-}
-
-/// Four dot products against one k-major 4-column panel block:
-///   out4[j] = sum_k h[k] * panel[4*k + j],   j in 0..3,
-/// each out4[j] its own ascending-k left-associated chain — bit-identical
-/// to Dot(h, column j). Four independent chains per step is what breaks
-/// the add-latency bound the serial Dot is stuck at; the SIMD variants
-/// map chain j onto lane j.
-inline void DotPanel4(const Scalar* TGSIM_RESTRICT h,
-                      const Scalar* TGSIM_RESTRICT panel, int d,
-                      Scalar* TGSIM_RESTRICT out4) {
-  Scalar s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (int k = 0; k < d; ++k) {
-    const Scalar hk = h[k];
-    s0 += hk * panel[4 * k + 0];
-    s1 += hk * panel[4 * k + 1];
-    s2 += hk * panel[4 * k + 2];
-    s3 += hk * panel[4 * k + 3];
-  }
-  out4[0] = s0;
-  out4[1] = s1;
-  out4[2] = s2;
-  out4[3] = s3;
 }
 
 /// o[j] += a * b[j]: one rank-1 row update of the ikj MatMul kernel.
@@ -369,8 +344,8 @@ inline void AdamRow(Scalar* TGSIM_RESTRICT x, Scalar* TGSIM_RESTRICT m,
 // ---------------------------------------------------------------------------
 // Public dispatched entry points. Same names and semantics as the scalar
 // reference above; each routes through the one-time-resolved backend
-// table. Dot/DotSum2 deliberately bypass the table (identical in every
-// backend; inlining matters in the generation hot loops).
+// table. Dot/DotStrided/DotSum2 deliberately bypass the table (identical
+// in every backend; inlining matters in the generation hot loops).
 // ---------------------------------------------------------------------------
 
 inline Scalar RowMax(const Scalar* x, int n) {
@@ -393,15 +368,21 @@ inline Scalar Dot(const Scalar* TGSIM_RESTRICT a,
   return scalar::Dot(a, b, n);
 }
 
+/// Ascending-index sum_k a[k] * b[k * stride]: the same single chain as
+/// Dot, down a strided column (column v of a row-major d x n matrix is
+/// `data + v` at stride n) — bit-identical to that MatMul output column.
+inline Scalar DotStrided(const Scalar* TGSIM_RESTRICT a,
+                         const Scalar* TGSIM_RESTRICT b, int64_t stride,
+                         int n) {
+  Scalar s = 0.0;
+  for (int k = 0; k < n; ++k) s += a[k] * b[k * stride];
+  return s;
+}
+
 inline Scalar DotSum2(const Scalar* TGSIM_RESTRICT a,
                       const Scalar* TGSIM_RESTRICT b1,
                       const Scalar* TGSIM_RESTRICT b2, int n) {
   return scalar::DotSum2(a, b1, b2, n);
-}
-
-inline void DotPanel4(const Scalar* h, const Scalar* panel, int d,
-                      Scalar* out4) {
-  Ops().dot_panel4(h, panel, d, out4);
 }
 
 inline void AxpyRow(Scalar a, const Scalar* b, Scalar* o, int n) {

@@ -112,17 +112,6 @@ void DivRowAvx2(Scalar* x, Scalar z, int n) {
   for (; i < n; ++i) x[i] /= z;
 }
 
-void DotPanel4Avx2(const Scalar* h, const Scalar* panel, int d,
-                   Scalar* out4) {
-  __m256d acc = _mm256_setzero_pd();  // lane j = chain for output column j
-  for (int k = 0; k < d; ++k) {
-    const __m256d hk = _mm256_set1_pd(h[k]);
-    acc = _mm256_add_pd(acc,
-                        _mm256_mul_pd(hk, _mm256_loadu_pd(panel + 4 * k)));
-  }
-  _mm256_storeu_pd(out4, acc);
-}
-
 void AxpyRowAvx2(Scalar a, const Scalar* b, Scalar* o, int n) {
   const __m256d av = _mm256_set1_pd(a);
   int i = 0;
@@ -378,7 +367,6 @@ const KernelOps kAvx2Ops = {
     DivRowAvx2,
     scalar::Dot,       // serial chain in every backend (see kernels.h)
     scalar::DotSum2,   // serial chain in every backend
-    DotPanel4Avx2,
     AxpyRowAvx2,
     Axpy4RowAvx2,
     AddRowAvx2,

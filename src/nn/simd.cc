@@ -13,7 +13,6 @@ const KernelOps kScalarOps = {
     scalar::DivRow,
     scalar::Dot,
     scalar::DotSum2,
-    scalar::DotPanel4,
     scalar::AxpyRow,
     scalar::Axpy4Row,
     scalar::AddRow,

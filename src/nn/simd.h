@@ -29,8 +29,6 @@ struct KernelOps {
   Scalar (*dot)(const Scalar* a, const Scalar* b, int n);
   Scalar (*dot_sum2)(const Scalar* a, const Scalar* b1, const Scalar* b2,
                      int n);
-  void (*dot_panel4)(const Scalar* h, const Scalar* panel, int d,
-                     Scalar* out4);
   void (*axpy_row)(Scalar a, const Scalar* b, Scalar* o, int n);
   void (*axpy4_row)(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
                     Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,

@@ -20,13 +20,12 @@ struct ModelSpec {
 
 /// A resident model. Callers hold the shared_ptr for the duration of a
 /// request, so eviction (which only drops the cache's reference) never
-/// destroys a model mid-generate. `mu` serializes Generate on this
-/// instance — generators are fit-once/serve-many but their Generate
-/// mutates scratch state, so two requests for the *same* model run back to
-/// back while different models run concurrently.
+/// destroys a model mid-generate. The generator never changes once
+/// installed: Generate is const, and an update builds a new instance and
+/// Swap()s it in. Requests for the same model therefore run concurrently,
+/// with no lock.
 struct CachedModel {
-  parallel::Mutex mu;
-  std::unique_ptr<baselines::TemporalGraphGenerator> generator;
+  std::unique_ptr<const baselines::TemporalGraphGenerator> generator;
   std::string method;  // Registry name from the artifact descriptor.
   int64_t bytes = 0;   // Footprint charged against the budget.
 };

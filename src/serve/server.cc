@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <exception>
-#include <optional>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -78,17 +78,30 @@ Json Server::Handle(const Request& request) {
   if (draining() && request.op != RequestOp::kShutdown)
     return MakeErrorReply(Status::ResourceExhausted(
         "server is draining; request rejected"));
-  switch (request.op) {
-    case RequestOp::kGenerate:
-      return HandleGenerate(request);
-    case RequestOp::kStats:
-      return HandleStats();
-    case RequestOp::kList:
-      return HandleList();
-    case RequestOp::kShutdown:
-      return HandleShutdown();
-    case RequestOp::kUpdate:
-      return HandleUpdate(request);
+  // The one exception boundary of every op: a throw anywhere in a handler
+  // (an allocation sized by an untrusted input, a failed load or save)
+  // becomes a Status-typed reply instead of escaping and closing the
+  // connection unanswered.
+  try {
+    switch (request.op) {
+      case RequestOp::kGenerate:
+        return HandleGenerate(request);
+      case RequestOp::kStats:
+        return HandleStats();
+      case RequestOp::kList:
+        return HandleList();
+      case RequestOp::kShutdown:
+        return HandleShutdown();
+      case RequestOp::kUpdate:
+        return HandleUpdate(request);
+    }
+  } catch (const std::bad_alloc& e) {
+    return MakeErrorReply(Status::ResourceExhausted(
+        RequestOpName(request.op) + " failed: out of memory (" + e.what() +
+        ")"));
+  } catch (const std::exception& e) {
+    return MakeErrorReply(Status::Internal(RequestOpName(request.op) +
+                                           " failed: " + e.what()));
   }
   return MakeErrorReply(Status::Internal("unhandled request op"));
 }
@@ -106,30 +119,24 @@ Json Server::HandleGenerate(const Request& request) {
   Result<std::shared_ptr<CachedModel>> model = cache_->Acquire(request.model);
   if (!model.ok()) return MakeErrorReply(model.status());
 
+  // Generate is const, so requests for one model run concurrently. The
+  // rng stream is the artifact generate stream, so the reply payload
+  // byte-matches `tgsim generate --model PATH --seed N`.
   Stopwatch latency;
-  std::optional<graphs::TemporalGraph> generated;
-  try {
-    // One generate per model instance at a time: Generate mutates scratch
-    // state. The rng stream is the artifact generate stream, so the reply
-    // payload byte-matches `tgsim generate --model PATH --seed N`.
-    parallel::MutexLock lock(model.value()->mu);
-    Rng rng = eval::MakeSeedStreams(request.seed).generate;
-    generated = model.value()->generator->Generate(rng);
-  } catch (const std::exception& e) {
-    return MakeErrorReply(Status::Internal(
-        std::string("generate failed: ") + e.what()));
-  }
+  Rng rng = eval::MakeSeedStreams(request.seed).generate;
+  const graphs::TemporalGraph generated =
+      model.value()->generator->Generate(rng);
   std::ostringstream payload;
-  datasets::WriteEdgeList(*generated, payload);
+  datasets::WriteEdgeList(generated, payload);
   cache_->RecordGenerate(request.model, latency.ElapsedSeconds());
 
   Json reply = MakeOkReply();
   reply.Set("model", Json::Str(request.model));
   reply.Set("method", Json::Str(model.value()->method));
   reply.Set("seed", Json::Int(static_cast<int64_t>(request.seed)));
-  reply.Set("nodes", Json::Int(generated->num_nodes()));
-  reply.Set("edges", Json::Int(generated->num_edges()));
-  reply.Set("timestamps", Json::Int(generated->num_timestamps()));
+  reply.Set("nodes", Json::Int(generated.num_nodes()));
+  reply.Set("edges", Json::Int(generated.num_edges()));
+  reply.Set("timestamps", Json::Int(generated.num_timestamps()));
   reply.Set("payload", Json::Str(std::move(payload).str()));
   return reply;
 }
@@ -148,14 +155,8 @@ Json Server::HandleUpdate(const Request& request) {
   // equals the artifact a CLI update with the same inputs produces.
   Result<eval::LoadedArtifact> loaded = eval::LoadArtifact(path.value());
   if (!loaded.ok()) return MakeErrorReply(loaded.status());
-  Status updated;
-  try {
-    Rng rng = eval::MakeSeedStreams(request.seed).fit;
-    updated = loaded.value().generator->Update(delta.value(), rng);
-  } catch (const std::exception& e) {
-    return MakeErrorReply(
-        Status::Internal(std::string("update failed: ") + e.what()));
-  }
+  Rng rng = eval::MakeSeedStreams(request.seed).fit;
+  Status updated = loaded.value().generator->Update(delta.value(), rng);
   if (!updated.ok()) return MakeErrorReply(updated);
 
   // Persist the updated state next to the swap so a later reload (eviction,

@@ -37,9 +37,9 @@ struct ServeOptions {
 /// calls it. The socket front end accepts connections on a 1-worker
 /// listener TaskQueue and serves each connection on a `workers`-sized
 /// TaskQueue — all threads are owned by src/parallel primitives, per the
-/// ROADMAP layering rule. Requests for different models generate
-/// concurrently; requests for one model serialize on the model's mutex
-/// (identical results either way — generation depends only on the seed).
+/// ROADMAP layering rule. Generates run concurrently, for different models
+/// and for one model alike: a served generator is never mutated (Generate
+/// is const), so each reply depends only on the artifact and the seed.
 ///
 /// Lifecycle: Create() preloads the cache (fails fast on bad artifacts).
 /// A shutdown request — or Stop() — starts the drain: new requests get an

@@ -450,7 +450,7 @@ TEST(ArtifactErrorTest, DefaultSaveStateIsInvalidArgument) {
    public:
     std::string name() const override { return "custom"; }
     void Fit(const graphs::TemporalGraph&, Rng&) override {}
-    graphs::TemporalGraph Generate(Rng&) override {
+    graphs::TemporalGraph Generate(Rng&) const override {
       graphs::TemporalGraph g(1, 1);
       g.Finalize();
       return g;

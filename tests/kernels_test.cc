@@ -263,40 +263,17 @@ TEST(KernelBitIdentityTest, AdamRow) {
   }
 }
 
-TEST(KernelBitIdentityTest, DotPanel4MatchesSerialDotPerColumn) {
-  const KernelOps* s = GetScalarOps();
-  const KernelOps& d = Ops();
-  for (int dim : {1, 2, 3, 8, 32, 33, 64}) {
-    const std::vector<Scalar> h =
-        MakeBuffer(dim, static_cast<uint64_t>(dim));
-    const std::vector<Scalar> panel =
-        MakeBuffer(4 * dim, static_cast<uint64_t>(dim) + 77);
-    Scalar out_s[4], out_d[4];
-    s->dot_panel4(h.data(), panel.data(), dim, out_s);
-    d.dot_panel4(h.data(), panel.data(), dim, out_d);
-    for (int j = 0; j < 4; ++j) {
-      // De-interleave column j and check against the pinned serial Dot —
-      // the panel must not change the per-output accumulation chain.
-      std::vector<Scalar> col(static_cast<size_t>(dim));
-      for (int k = 0; k < dim; ++k)
-        col[static_cast<size_t>(k)] = panel[static_cast<size_t>(4 * k + j)];
-      const Scalar ref = scalar::Dot(h.data(), col.data(), dim);
-      EXPECT_TRUE(ScalarBitsEqual(ref, out_s[j], "DotPanel4 vs Dot", dim));
-      EXPECT_TRUE(ScalarBitsEqual(out_s[j], out_d[j], "DotPanel4", dim));
-    }
-  }
-}
-
 // TGAE generation scores only the support columns of each decoder row, with
-// kernels::Dot on the tied decoder and a DotPanel4 lane on the untied one,
-// and must draw exactly what the dense MatMul decode would. Pin that
-// association: MatMul(A, B)(r, v) == Dot(A.row(r), B^T.row(v)) == lane v % 4
-// of DotPanel4 over B's k-major panel block v / 4, bit for bit, on the scalar
-// and the active backend. The depths cross the Axpy4Row tail and the 64-wide
-// MatMul k-block; the rows carry signed zeros and denormals.
-TEST(KernelBitIdentityTest, MatMulColumnIsDotAndPanelLane) {
+// kernels::Dot on the tied decoder and kernels::DotStrided down a W_dec
+// column on the untied one, and must draw exactly what the dense MatMul
+// decode would. Pin that association: MatMul(A, B)(r, v) ==
+// Dot(A.row(r), B^T.row(v)) == DotStrided(A.row(r), column v of B), bit for
+// bit, on the scalar and the active backend. The depths cross the Axpy4Row
+// tail and the 64-wide MatMul k-block; the rows carry signed zeros and
+// denormals.
+TEST(KernelBitIdentityTest, MatMulColumnIsDotAndStridedDot) {
   constexpr int kRows = 3;
-  constexpr int kCols = 9;  // Two full panel blocks plus a padded one.
+  constexpr int kCols = 9;  // Two 4-wide AVX2 column groups plus a tail.
   for (Backend backend : {Backend::kScalar, ActiveBackend()}) {
     const Backend prev = SetBackendForTest(backend);
     for (int dim : {1, 3, 4, 5, 31, 32, 33, 64, 65, 130}) {
@@ -317,12 +294,6 @@ TEST(KernelBitIdentityTest, MatMulColumnIsDotAndPanelLane) {
 
       const Tensor product = a.MatMul(b);
       const Tensor bt = b.Transpose();
-      const int blocks = (kCols + 3) / 4;
-      std::vector<Scalar> panel(static_cast<size_t>(blocks) * dim * 4, 0.0);
-      for (int k = 0; k < dim; ++k)
-        for (int v = 0; v < kCols; ++v)
-          panel[static_cast<size_t>(v / 4) * dim * 4 +
-                static_cast<size_t>(k) * 4 + (v % 4)] = b.at(k, v);
 
       for (int r = 0; r < kRows; ++r) {
         for (int v = 0; v < kCols; ++v) {
@@ -330,12 +301,9 @@ TEST(KernelBitIdentityTest, MatMulColumnIsDotAndPanelLane) {
           EXPECT_TRUE(ScalarBitsEqual(
               want, Dot(a.row(r), bt.row(v), dim), "MatMul vs Dot", dim))
               << BackendName(backend) << " r=" << r << " v=" << v;
-          Scalar lanes[4];
-          DotPanel4(a.row(r),
-                    panel.data() + static_cast<size_t>(v / 4) * dim * 4, dim,
-                    lanes);
-          EXPECT_TRUE(ScalarBitsEqual(want, lanes[v % 4],
-                                      "MatMul vs DotPanel4 lane", dim))
+          EXPECT_TRUE(ScalarBitsEqual(
+              want, DotStrided(a.row(r), b.data() + v, kCols, dim),
+              "MatMul vs DotStrided", dim))
               << BackendName(backend) << " r=" << r << " v=" << v;
         }
       }

@@ -5,17 +5,22 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <new>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/er_ba.h"
 #include "baselines/state_io.h"
 #include "common/rng.h"
 #include "config/param_map.h"
@@ -82,6 +87,13 @@ int64_t FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXPECT_TRUE(in.is_open()) << path;
   return static_cast<int64_t>(in.tellg());
+}
+
+std::string FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// The budget charge the cache applies to `path`: the loaded generator's
@@ -195,6 +207,126 @@ TEST(ServeStressTest, ConcurrentClientsByteMatchSerialRuns) {
 }
 
 // ---------------------------------------------------------------------------
+// Concurrent generates of one served model, for every method: a fitted
+// generator is immutable (Generate is const), so the daemon takes no
+// per-model lock and every reply must still byte-match a serial run.
+// ---------------------------------------------------------------------------
+
+/// One served-model configuration of the one-model stress test.
+struct OneModelCase {
+  std::string label;   // Test-name suffix.
+  std::string method;  // Registry name.
+  config::ParamMap params;
+  /// When > 0, the model is fitted on the mimic's edges over a canvas of
+  /// this many nodes.
+  int declared_nodes = 0;
+};
+
+void PrintTo(const OneModelCase& c, std::ostream* os) { *os << c.label; }
+
+std::vector<OneModelCase> OneModelCases() {
+  config::ParamMap fast;
+  fast.Override("preset", "fast");
+  std::vector<OneModelCase> cases;
+  std::vector<std::string> names = eval::AllMethodNames();
+  for (const std::string& name : eval::AblationMethodNames())
+    if (name != "TGAE") names.push_back(name);
+  for (const std::string& name : names) {
+    std::string label = name;
+    std::replace(label.begin(), label.end(), '-', '_');
+    cases.push_back({label, name, fast});
+  }
+  config::ParamMap untied = fast;
+  untied.Override("tie_decoder", "false");
+  cases.push_back({"TGAE_untied", "TGAE", untied});
+  // More nodes than kInlineScoreNodeLimit: the artifact carries its
+  // scores as a BlockFile, so concurrent generates share its mmap leases.
+  cases.push_back({"VGAE_block_backed", "VGAE", fast, 5000});
+  return cases;
+}
+
+/// Fits the case's model on the DBLP mimic at scale 0.03 and saves it.
+std::string FitOneModelArtifact(const OneModelCase& c) {
+  auto generator = eval::MakeGenerator(c.method, c.params);
+  EXPECT_TRUE(generator.ok()) << generator.status().ToString();
+  graphs::TemporalGraph observed = datasets::MakeMimicByName("DBLP", 0.03, 21);
+  if (c.declared_nodes > 0) {
+    observed = graphs::TemporalGraph::FromEdges(
+        c.declared_nodes, observed.num_timestamps(), observed.edges());
+  }
+  eval::SeedStreams streams = eval::MakeSeedStreams(17);
+  generator.value()->Fit(observed, streams.fit);
+  const std::string path = TempPath("serve_one_" + c.label + ".tgsim");
+  Status saved =
+      eval::SaveArtifact(*generator.value(), c.method, c.params, path);
+  EXPECT_TRUE(saved.ok()) << saved.ToString();
+  return path;
+}
+
+class ServeOneModelStressTest
+    : public ::testing::TestWithParam<OneModelCase> {};
+
+TEST_P(ServeOneModelStressTest, ConcurrentGeneratesByteMatchSerialRuns) {
+  GlobalThreadsGuard guard;
+  const std::string path = FitOneModelArtifact(GetParam());
+  if (GetParam().declared_nodes > 0) {
+    EXPECT_NE(FileContents(path).find("tgsimblk"), std::string::npos)
+        << "expected a block-backed artifact";
+  }
+  const uint64_t seeds[2] = {5, 6};
+  const std::string expected[2] = {SerialPayload(path, seeds[0]),
+                                   SerialPayload(path, seeds[1])};
+  ASSERT_NE(expected[0], expected[1]);
+
+  for (int threads : {1, 8}) {
+    parallel::ThreadPool::SetGlobalThreads(threads);
+    serve::ServeOptions options;
+    options.models = {{"model", path}};
+    options.workers = 8;
+    Result<std::unique_ptr<serve::Server>> server =
+        serve::Server::Create(std::move(options));
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+    constexpr int kClients = 8;
+    constexpr int kRequestsPerClient = 4;
+    std::atomic<int> failures{0};
+    std::atomic<int> mismatches{0};
+    {
+      parallel::TaskQueue clients(kClients, kClients);
+      std::vector<std::future<void>> done;
+      for (int c = 0; c < kClients; ++c) {
+        done.push_back(clients.Submit([&, c] {
+          for (int k = 0; k < kRequestsPerClient; ++k) {
+            const int s = (c + k) % 2;
+            serve::Json reply =
+                server.value()->Handle(GenerateRequest("model", seeds[s]));
+            const serve::Json* ok = reply.Find("ok");
+            if (ok == nullptr || !ok->AsBoolOr(false)) {
+              failures.fetch_add(1);
+              continue;
+            }
+            const serve::Json* payload = reply.Find("payload");
+            if (payload == nullptr || payload->AsString() != expected[s])
+              mismatches.fetch_add(1);
+          }
+        }));
+      }
+      for (std::future<void>& f : done) f.get();
+    }
+    EXPECT_EQ(failures.load(), 0) << "at " << threads << " threads";
+    EXPECT_EQ(mismatches.load(), 0) << "at " << threads << " threads";
+    EXPECT_EQ(server.value()->cache().Snapshot()[0].generates,
+              kClients * kRequestsPerClient);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryMethod, ServeOneModelStressTest, ::testing::ValuesIn(OneModelCases()),
+    [](const ::testing::TestParamInfo<OneModelCase>& info) {
+      return info.param.label;
+    });
+
+// ---------------------------------------------------------------------------
 // Cache eviction under a byte budget.
 // ---------------------------------------------------------------------------
 
@@ -286,13 +418,6 @@ TEST(ServeCacheTest, ServedRepliesByteMatchAcrossEvictionChurn) {
 // ---------------------------------------------------------------------------
 // Serve-side model refresh: the update op.
 // ---------------------------------------------------------------------------
-
-std::string FileContents(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 /// Copies an artifact to its own path so update tests never mutate the
 /// shared FitArtifact files the other tests read.
@@ -528,6 +653,68 @@ TEST(ServeUpdateTest, FailedArtifactWriteKeepsArtifactAndServedModel) {
   EXPECT_EQ(FileContents(artifact), artifact_bytes);
 
   serve::Json after = server.value()->Handle(GenerateRequest("alpha", 5));
+  ASSERT_TRUE(FindField(after, "ok")->AsBoolOr(false)) << after.Serialize();
+  EXPECT_EQ(FindField(after, "payload")->AsString(), before);
+}
+
+/// While set, ThrowOnLoadGenerator::LoadState throws std::bad_alloc.
+std::atomic<bool> g_throw_on_load{false};
+
+/// E-R whose LoadState runs out of memory on demand: a stand-in for an
+/// input that makes a handler's allocation fail.
+class ThrowOnLoadGenerator : public baselines::ErdosRenyiGenerator {
+ public:
+  using baselines::ErdosRenyiGenerator::LoadState;
+  Status LoadState(std::istream& in) override {
+    if (g_throw_on_load.load()) throw std::bad_alloc();
+    return baselines::ErdosRenyiGenerator::LoadState(in);
+  }
+};
+
+/// The test-only method "ThrowOnLoad".
+eval::MethodSpec ThrowOnLoadSpec() {
+  eval::MethodSpec spec;
+  spec.name = "ThrowOnLoad";
+  spec.summary = "E-R whose LoadState throws while a test flag is set";
+  spec.supports_update = true;
+  spec.factory = [](const config::ParamMap&)
+      -> Result<std::unique_ptr<baselines::TemporalGraphGenerator>> {
+    return std::unique_ptr<baselines::TemporalGraphGenerator>(
+        std::make_unique<ThrowOnLoadGenerator>());
+  };
+  return spec;
+}
+
+TEST(ServeUpdateTest, ThrowingHandlerIsAnErrorReplyNotAnEscape) {
+  // Every op shares one exception boundary in Handle: an update whose
+  // artifact load throws std::bad_alloc gets a ResourceExhausted reply,
+  // the artifact and the served model stay as they were, and the daemon
+  // keeps serving.
+  static const Status registered = eval::RegisterGenerator(ThrowOnLoadSpec());
+  ASSERT_TRUE(registered.ok()) << registered.ToString();
+  const std::string artifact =
+      FitArtifact("serve_throw_on_load.tgsim", "ThrowOnLoad", "DBLP", 11);
+  const std::string delta_path = WriteAlphaDelta("serve_throw_delta.txt");
+  const std::string artifact_bytes = FileContents(artifact);
+  const std::string before = SerialPayload(artifact, 5);
+
+  serve::ServeOptions options;
+  options.models = {{"throws", artifact}};
+  Result<std::unique_ptr<serve::Server>> server =
+      serve::Server::Create(std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  g_throw_on_load.store(true);
+  serve::Json reply =
+      server.value()->Handle(UpdateRequest("throws", delta_path, 99));
+  g_throw_on_load.store(false);
+  EXPECT_FALSE(FindField(reply, "ok")->AsBoolOr(true)) << reply.Serialize();
+  EXPECT_EQ(FindField(reply, "code")->AsString(), "ResourceExhausted");
+  EXPECT_NE(FindField(reply, "error")->AsString().find("update"),
+            std::string::npos);
+  EXPECT_EQ(FileContents(artifact), artifact_bytes);
+
+  serve::Json after = server.value()->Handle(GenerateRequest("throws", 5));
   ASSERT_TRUE(FindField(after, "ok")->AsBoolOr(false)) << after.Serialize();
   EXPECT_EQ(FindField(after, "payload")->AsString(), before);
 }

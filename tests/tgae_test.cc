@@ -178,8 +178,9 @@ TEST(TgaeTest, SparseDecoderTrainsAndGenerates) {
 TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
   // sparse_decoder chooses the training loss only: generation scores each
   // row's support columns the same way on every preset (kernels::Dot rows
-  // of the tied table, DotPanel4 lanes of the untied decode panel), so with
-  // the same weights and the same seed the drawn edge lists are identical.
+  // of the tied table, kernels::DotStrided columns of the untied W_dec), so
+  // with the same weights and the same seed the drawn edge lists are
+  // identical.
   graphs::TemporalGraph observed = Observed();
   for (bool tied : {true, false}) {
     SCOPED_TRACE(tied ? "tie_decoder=true" : "tie_decoder=false");
@@ -211,8 +212,8 @@ TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
 
 TEST(TgaeTest, UntiedDecoderEqualToTiedTableDrawsIdenticalEdges) {
   // Generation reads a tied support logit as kernels::Dot against an
-  // embedding-table row and an untied one as a DotPanel4 lane of the
-  // decode panel. An untied model whose W_dec is the tied model's table
+  // embedding-table row and an untied one as kernels::DotStrided down a
+  // W_dec column. An untied model whose W_dec is the tied model's table
   // transposed has the same logits, so the two must draw the same edges:
   // on the support, and for `loop_node` (only self-loops within the t = 0
   // window) through the n-wide empty-support fallback. A wide window with

@@ -239,7 +239,7 @@ class StubGenerator : public baselines::TemporalGraphGenerator {
  public:
   std::string name() const override { return "stub"; }
   void Fit(const graphs::TemporalGraph&, Rng&) override {}
-  graphs::TemporalGraph Generate(Rng&) override {
+  graphs::TemporalGraph Generate(Rng&) const override {
     return graphs::TemporalGraph::FromEdges(1, 1, {});
   }
 };
