@@ -1,6 +1,8 @@
 #include "datasets/io.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,18 @@ namespace {
 
 /// Number of magic bytes (the trailing NUL of the literal is not stored).
 constexpr size_t kMagicBytes = sizeof(kBinaryEdgeListMagic) - 1;
+
+/// Most characters std::to_chars writes for a T: every digit and a sign.
+template <typename T>
+constexpr size_t kMaxDecimalChars = std::numeric_limits<T>::digits10 + 2;
+
+/// WriteEdgeList hands the stream blocks of this many bytes.
+constexpr size_t kTextBlockBytes = 32 * 1024;
+
+/// Longest `u v t\n` line: WriteEdgeList flushes its block whenever less
+/// than this is left, so every line fits.
+constexpr size_t kMaxTextLineBytes = 2 * kMaxDecimalChars<graphs::NodeId> +
+                                     kMaxDecimalChars<graphs::Timestamp> + 3;
 
 void WriteVarint(std::ostream& out, uint64_t value) {
   // LEB128: 7 payload bits per byte, high bit set on all but the last.
@@ -215,9 +229,33 @@ Status SaveEdgeList(const graphs::TemporalGraph& g, const std::string& path) {
 }
 
 void WriteEdgeList(const graphs::TemporalGraph& g, std::ostream& out) {
-  out << "# " << g.num_nodes() << " " << g.num_timestamps() << "\n";
-  for (const graphs::TemporalEdge& e : g.edges())
-    out << e.u << " " << e.v << " " << e.t << "\n";
+  // Lines are formatted with std::to_chars, which writes classic digits
+  // whatever the stream's locale, into a block the stream receives whole:
+  // one write per block instead of one formatted insertion per field.
+  std::array<char, kTextBlockBytes> block{};
+  char* const end = block.data() + block.size();
+  char* cursor = block.data();
+  const auto field = [&cursor](auto value, char separator) {
+    cursor = std::to_chars(cursor, cursor + kMaxDecimalChars<decltype(value)>,
+                           value)
+                 .ptr;
+    *cursor++ = separator;
+  };
+  const auto flush = [&] {
+    out.write(block.data(), cursor - block.data());
+    cursor = block.data();
+  };
+  *cursor++ = '#';
+  *cursor++ = ' ';
+  field(g.num_nodes(), ' ');
+  field(g.num_timestamps(), '\n');
+  for (const graphs::TemporalEdge& e : g.edges()) {
+    if (static_cast<size_t>(end - cursor) < kMaxTextLineBytes) flush();
+    field(e.u, ' ');
+    field(e.v, ' ');
+    field(e.t, '\n');
+  }
+  flush();
 }
 
 Status SaveEdgeListBinary(const graphs::TemporalGraph& g,

@@ -35,6 +35,10 @@ Status SaveEdgeList(const graphs::TemporalGraph& g, const std::string& path);
 /// Stream form of SaveEdgeList: writes the identical bytes to `out`
 /// (SaveEdgeList delegates here). The serve daemon uses this to build the
 /// generate-reply payload, which must byte-match a `tgsim generate` file.
+/// The one text edge-list formatter: it writes plain decimal digits with
+/// std::to_chars, so the bytes do not depend on the stream's locale (a
+/// digit-grouping `numpunct` cannot turn `1899` into `1,899`) or its
+/// format flags, and reach `out` in whole blocks of formatted lines.
 void WriteEdgeList(const graphs::TemporalGraph& g, std::ostream& out);
 
 /// Writes the graph in the compact binary format: the 8-byte magic,

@@ -70,7 +70,9 @@ class Json {
   void Set(const std::string& key, Json value);
 
   /// Compact serialization: no whitespace, members in insertion order,
-  /// doubles via %.17g (round-trip exact), strings minimally escaped.
+  /// doubles via %.17g (round-trip exact), strings minimally escaped
+  /// (`\"`, `\\`, `\b`, `\f`, `\n`, `\r`, `\t`, lowercase `\u00XX` for the
+  /// other bytes below 0x20, every other byte verbatim).
   std::string Serialize() const;
 
   /// Parses exactly one JSON value spanning the whole input (trailing

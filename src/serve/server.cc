@@ -15,6 +15,7 @@
 #ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -299,13 +300,24 @@ void Server::Stop() {
 
 namespace {
 
-/// send() the whole buffer, riding out EINTR; MSG_NOSIGNAL so a client
+/// Sends `frame` and its terminating newline as one gathered sendmsg(),
+/// so a reply frame of hundreds of KB is never copied to append the
+/// newline. Rides out EINTR and short writes; MSG_NOSIGNAL so a client
 /// hangup surfaces as EPIPE instead of killing the daemon.
-bool WriteAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+bool WriteFrame(int fd, const std::string& frame) {
+  char newline = '\n';
+  size_t sent = 0;  // Of the frame.size() + 1 bytes to send.
+  while (sent <= frame.size()) {
+    iovec parts[2] = {};
+    size_t count = 0;
+    if (sent < frame.size())
+      parts[count++] = {const_cast<char*>(frame.data()) + sent,
+                        frame.size() - sent};
+    parts[count++] = {&newline, 1};
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -391,15 +403,11 @@ void Server::ServeConnection(int fd) {
       if (!frame.empty() && frame.back() == '\r') frame.pop_back();
       Result<Request> request =
           ParseRequest(frame, options_.max_frame_bytes);
-      std::string reply;
-      if (!request.ok()) {
+      if (!request.ok())
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        reply = MakeErrorReply(request.status()).Serialize();
-      } else {
-        reply = Handle(request.value()).Serialize();
-      }
-      reply.push_back('\n');
-      if (!WriteAll(fd, reply)) return;
+      const Json reply = request.ok() ? Handle(request.value())
+                                      : MakeErrorReply(request.status());
+      if (!WriteFrame(fd, reply.Serialize())) return;
       if (request.ok() && request.value().op == RequestOp::kShutdown)
         return;  // The drain is underway; this connection is done.
       continue;
@@ -409,14 +417,12 @@ void Server::ServeConnection(int fd) {
       // stream cannot be re-framed, so the connection closes (the server
       // itself stays up — the protocol tests pin this).
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::string reply =
-          MakeErrorReply(Status::ResourceExhausted(
+      WriteFrame(fd, MakeErrorReply(
+                         Status::ResourceExhausted(
                              "unterminated frame exceeds the " +
                              std::to_string(options_.max_frame_bytes) +
                              "-byte limit; closing connection"))
-              .Serialize();
-      reply.push_back('\n');
-      WriteAll(fd, reply);
+                         .Serialize());
       return;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);

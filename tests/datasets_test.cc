@@ -1,8 +1,15 @@
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <locale>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "datasets/io.h"
 #include "datasets/synthetic.h"
 #include "gtest/gtest.h"
@@ -289,6 +296,99 @@ TEST(IoTest, HeaderViolationIsError) {
   EXPECT_NE(r.status().message().find("line 2"), std::string::npos)
       << r.status().message();
   EXPECT_NE(r.status().message().find(path), std::string::npos);
+}
+
+/// The per-field stream formatting WriteEdgeList once used, kept as its
+/// oracle on a classic-imbued stream.
+std::string ClassicStreamEdgeList(const graphs::TemporalGraph& g) {
+  std::ostringstream out;
+  out.imbue(std::locale::classic());
+  out << "# " << g.num_nodes() << " " << g.num_timestamps() << "\n";
+  for (const graphs::TemporalEdge& e : g.edges())
+    out << e.u << " " << e.v << " " << e.t << "\n";
+  return out.str();
+}
+
+std::string WrittenEdgeList(const graphs::TemporalGraph& g) {
+  std::ostringstream out;
+  WriteEdgeList(g, out);
+  return out.str();
+}
+
+/// A seeded random graph whose ids have 1 to 7 digits (each id's digit
+/// count is drawn first), so its text varies in line length.
+graphs::TemporalGraph RandomWideIdGraph(uint64_t seed, int num_edges) {
+  constexpr int kNodes = 1'200'000;
+  constexpr int kTimestamps = 120;
+  Rng rng(seed);
+  const auto id = [&rng] {
+    int64_t bound = 1;
+    for (int64_t digits = rng.UniformInt(1, 7); digits > 0; --digits)
+      bound *= 10;
+    return static_cast<graphs::NodeId>(
+        rng.UniformInt(std::min<int64_t>(bound, kNodes)));
+  };
+  std::vector<graphs::TemporalEdge> edges;
+  for (int i = 0; i < num_edges; ++i) {
+    const graphs::NodeId u = id();
+    const graphs::NodeId v = id();
+    edges.push_back(
+        {u, v, static_cast<graphs::Timestamp>(rng.UniformInt(kTimestamps))});
+  }
+  return graphs::TemporalGraph::FromEdges(kNodes, kTimestamps,
+                                          std::move(edges));
+}
+
+TEST(IoTest, WriterMatchesClassicStreamFormatting) {
+  const graphs::TemporalGraph empty =
+      graphs::TemporalGraph::FromEdges(7, 4, {});
+  EXPECT_EQ(WrittenEdgeList(empty), "# 7 4\n");
+  EXPECT_EQ(WrittenEdgeList(empty), ClassicStreamEdgeList(empty));
+
+  const graphs::TemporalGraph self_loops = graphs::TemporalGraph::FromEdges(
+      5, 3, {{2, 2, 0}, {0, 0, 1}, {1, 3, 1}, {4, 4, 2}});
+  EXPECT_EQ(WrittenEdgeList(self_loops), ClassicStreamEdgeList(self_loops));
+
+  // 30k edges of up to 7-digit ids: the text must exceed 4 x 64 KiB, so
+  // it spans at least four writer blocks (32 KiB today) even if the block
+  // size doubles.
+  for (const uint64_t seed : {3, 4, 5}) {
+    const graphs::TemporalGraph g = RandomWideIdGraph(seed, 30'000);
+    const std::string written = WrittenEdgeList(g);
+    EXPECT_GT(written.size(), 4u * 64 * 1024);
+    EXPECT_EQ(written, ClassicStreamEdgeList(g)) << "seed " << seed;
+  }
+
+  // A multi-block file round-trips through SaveEdgeList/LoadEdgeList.
+  const graphs::TemporalGraph g = RandomWideIdGraph(6, 30'000);
+  const std::string path = TempPath("multiblock.txt");
+  ASSERT_TRUE(SaveEdgeList(g, path).ok());
+  Result<graphs::TemporalGraph> loaded = LoadEdgeList(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_nodes(), g.num_nodes());
+  EXPECT_EQ(loaded.value().num_timestamps(), g.num_timestamps());
+  ASSERT_EQ(loaded.value().num_edges(), g.num_edges());
+  for (size_t i = 0; i < g.edges().size(); ++i)
+    ASSERT_TRUE(loaded.value().edges()[i] == g.edges()[i]) << "edge " << i;
+}
+
+/// Digit grouping in threes with ',' as the separator, as locales such as
+/// en_US use; built in the test so that no installed locale is needed.
+struct GroupingNumpunct : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(IoTest, WriterIgnoresStreamLocale) {
+  // Stream formatting would write `# 1,899 12` and `1,234 5 11`, and
+  // LoadEdgeList rejects that header as malformed.
+  const graphs::TemporalGraph g = graphs::TemporalGraph::FromEdges(
+      1899, 12, {{1234, 5, 11}, {0, 1898, 0}});
+  std::ostringstream grouped;
+  grouped.imbue(std::locale(std::locale::classic(), new GroupingNumpunct));
+  WriteEdgeList(g, grouped);
+  EXPECT_EQ(grouped.str(), "# 1899 12\n0 1898 0\n1234 5 11\n");
+  EXPECT_EQ(grouped.str(), ClassicStreamEdgeList(g));
 }
 
 // ---------------------------------------------------------------------------

@@ -733,6 +733,63 @@ TEST(ServeUpdateTest, UpdateUnknownModelIsNotFound) {
 }
 
 // ---------------------------------------------------------------------------
+// JSON serialization: the bytes every reply frame is made of.
+// ---------------------------------------------------------------------------
+
+/// The escape of one string byte, built from the rules `Json::Serialize`
+/// documents: seven two-character escapes, lowercase \u00XX for the other
+/// bytes below 0x20, every other byte verbatim.
+std::string ExpectedEscape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: break;
+  }
+  if (c >= 0x20) return std::string(1, static_cast<char>(c));
+  constexpr char kHex[] = "0123456789abcdef";
+  return std::string("\\u00") + kHex[c >> 4] + kHex[c & 0xf];
+}
+
+TEST(JsonTest, StringEscapeIsPinnedForEveryByte) {
+  for (int c = 0; c < 256; ++c) {
+    const std::string one_byte(1, static_cast<char>(c));
+    std::string quoted = "\"";
+    quoted += ExpectedEscape(static_cast<unsigned char>(c));
+    quoted += '"';
+    EXPECT_EQ(serve::Json::Str(one_byte).Serialize(), quoted) << "byte " << c;
+  }
+
+  // Seeded random byte strings, embedded NULs included, survive
+  // Serialize -> Parse.
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string s(static_cast<size_t>(rng.UniformInt(0, 600)), '\0');
+    for (char& c : s) c = static_cast<char>(rng.UniformInt(256));
+    s.insert(s.size() / 2, std::string(2, '\0'));
+    const std::string frame = serve::Json::Str(s).Serialize();
+    Result<serve::Json> parsed = serve::Json::Parse(frame);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_TRUE(parsed.value().is_string());
+    EXPECT_EQ(parsed.value().AsString(), s) << "trial " << trial;
+  }
+
+  // A document with every value type, empty containers included,
+  // serializes back to its compact text.
+  const std::string document =
+      "{\"n\":null,\"t\":true,\"f\":false,\"i\":-42,\"d\":0.5,"
+      "\"s\":\"a\\tb\\u0001\",\"e\":[],\"o\":{},"
+      "\"a\":[1,[2,3],{\"k\":\"v\",\"q\\\"\":[]}]}";
+  Result<serve::Json> parsed = serve::Json::Parse(document);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().Serialize(), document);
+}
+
+// ---------------------------------------------------------------------------
 // Protocol error paths: Status-typed replies, never a crash.
 // ---------------------------------------------------------------------------
 
