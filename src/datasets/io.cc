@@ -69,6 +69,30 @@ Status ReadVarint(std::istream& in, const std::string& path,
       "varint runs past 10 bytes in binary edge list: " + path);
 }
 
+/// A loaded edge list may declare or infer this many nodes and timestamps
+/// whatever its edge count (see LoadEdgeList).
+constexpr int64_t kMinShapeBound = int64_t{1} << 21;
+
+/// The one shape check of both formats, run once the edges are read and
+/// before Finalize allocates O(n + T): m edges justify at most
+/// max(2^21, 2m) nodes and max(2^21, m) timestamps.
+Result<graphs::TemporalGraph> BuildLoadedGraph(
+    int64_t num_nodes, int64_t num_timestamps,
+    std::vector<graphs::TemporalEdge> edges, const std::string& path) {
+  const int64_t m = static_cast<int64_t>(edges.size());
+  const int64_t max_int = std::numeric_limits<int>::max();
+  if (num_nodes > std::min(max_int, std::max(kMinShapeBound, 2 * m)) ||
+      num_timestamps > std::min(max_int, std::max(kMinShapeBound, m)))
+    return Status::InvalidArgument(
+        "edge list shape " + std::to_string(num_nodes) + " nodes x " +
+        std::to_string(num_timestamps) + " timestamps is more than its " +
+        std::to_string(m) + " edges justify (bound: max(2^21, 2 x edges) " +
+        "nodes, max(2^21, edges) timestamps): " + path);
+  return graphs::TemporalGraph::FromEdges(static_cast<int>(num_nodes),
+                                          static_cast<int>(num_timestamps),
+                                          std::move(edges));
+}
+
 /// Body of the binary format after the sniffed magic: varint counts, then
 /// zigzag-varint (u, v, t) deltas against the previous edge (0,0,0 start).
 Result<graphs::TemporalGraph> LoadEdgeListBinary(std::istream& in,
@@ -112,9 +136,9 @@ Result<graphs::TemporalGraph> LoadEdgeListBinary(std::istream& in,
   if (in.get() >= 0)
     return Status::InvalidArgument(
         "trailing bytes after the last edge in binary edge list: " + path);
-  return graphs::TemporalGraph::FromEdges(static_cast<int>(nodes),
-                                          static_cast<int>(timestamps),
-                                          std::move(edges));
+  return BuildLoadedGraph(static_cast<int64_t>(nodes),
+                          static_cast<int64_t>(timestamps), std::move(edges),
+                          path);
 }
 
 }  // namespace
@@ -189,15 +213,10 @@ Result<graphs::TemporalGraph> LoadEdgeList(const std::string& path) {
     max_t = std::max(max_t, t);
   }
   const bool has_header = header_nodes > 0;  // Header parse is all-or-error.
-  if (edges.empty()) {
-    // An empty graph is only well-defined when the header supplies the
-    // node/timestamp counts; otherwise there is nothing to infer from.
-    if (!has_header)
-      return Status::InvalidArgument("edge list is empty: " + path);
-    return graphs::TemporalGraph::FromEdges(static_cast<int>(header_nodes),
-                                            static_cast<int>(header_timestamps),
-                                            {});
-  }
+  // An empty graph is only well-defined when the header supplies the
+  // node/timestamp counts; otherwise there is nothing to infer from.
+  if (edges.empty() && !has_header)
+    return Status::InvalidArgument("edge list is empty: " + path);
 
   // Header files store timestamps as-is (SaveEdgeList output round-trips
   // exactly); headerless external files are re-based to start at zero.
@@ -207,17 +226,14 @@ Result<graphs::TemporalGraph> LoadEdgeList(const std::string& path) {
       e.t = static_cast<graphs::Timestamp>(e.t - min_t);
   }
 
-  int num_nodes = has_header ? static_cast<int>(header_nodes)
-                             : static_cast<int>(max_node + 1);
-  int num_ts = has_header ? static_cast<int>(header_timestamps)
-                          : static_cast<int>(max_t - min_t + 1);
+  const int64_t num_nodes = has_header ? header_nodes : max_node + 1;
+  const int64_t num_ts = has_header ? header_timestamps : max_t - min_t + 1;
   if (max_node >= num_nodes)
     return Status::InvalidArgument("node id exceeds header count in " + path);
   if ((has_header ? max_t : max_t - min_t) >= num_ts)
     return Status::InvalidArgument("timestamp exceeds header count in " +
                                    path);
-  return graphs::TemporalGraph::FromEdges(num_nodes, num_ts,
-                                          std::move(edges));
+  return BuildLoadedGraph(num_nodes, num_ts, std::move(edges), path);
 }
 
 Status SaveEdgeList(const graphs::TemporalGraph& g, const std::string& path) {

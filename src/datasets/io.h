@@ -26,6 +26,12 @@ inline constexpr char kBinaryEdgeListMagic[] = "tgsimedg";  // 8 bytes + NUL.
 /// negative timestamps, and ids/timestamps exceeding the header counts.
 /// Binary corruption (truncated varints, out-of-range ids, trailing
 /// bytes) is likewise a Status, never a crash.
+///
+/// Shape bound (both formats): a file with m edges may declare or infer at
+/// most max(2^21, 2m) nodes and max(2^21, m) timestamps. Larger counts are
+/// InvalidArgument, checked before the graph's O(n + T) indexes are
+/// allocated, so a few bytes cannot ask for billions of empty nodes or
+/// snapshots. A sparse graph past that bound needs its ids remapped.
 Result<graphs::TemporalGraph> LoadEdgeList(const std::string& path);
 
 /// Writes the graph in the same text format (with header) so that

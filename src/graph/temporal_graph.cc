@@ -14,70 +14,108 @@ TemporalGraph TemporalGraph::FromEdges(int num_nodes, int num_timestamps,
                                        std::vector<TemporalEdge> edges) {
   TemporalGraph g(num_nodes, num_timestamps);
   g.edges_ = std::move(edges);
-  for (const TemporalEdge& e : g.edges_) {
-    TGSIM_CHECK(e.u >= 0 && e.u < num_nodes);
-    TGSIM_CHECK(e.v >= 0 && e.v < num_nodes);
-    TGSIM_CHECK(e.t >= 0 && e.t < num_timestamps);
-  }
   g.Finalize();
   return g;
 }
 
 void TemporalGraph::AddEdge(NodeId u, NodeId v, Timestamp t) {
   TGSIM_CHECK(!finalized_);
-  TGSIM_DCHECK(u >= 0 && u < num_nodes_);
-  TGSIM_DCHECK(v >= 0 && v < num_nodes_);
-  TGSIM_DCHECK(t >= 0 && t < num_timestamps_);
   edges_.push_back({u, v, t});
 }
 
+namespace {
+
+/// One stable counting-sort pass: writes `from` into `to` ordered by the
+/// `key` field, equal keys keeping their input order, and returns the
+/// bucket starts (size bound + 1; the last is the edge count). Every key is
+/// range-checked in every build, since it indexes the counts.
+std::vector<int64_t> CountingPass(const std::vector<TemporalEdge>& from,
+                                  std::vector<TemporalEdge>& to, int bound,
+                                  int32_t TemporalEdge::*key) {
+  std::vector<int64_t> starts(static_cast<size_t>(bound) + 1, 0);
+  for (const TemporalEdge& e : from) {
+    TGSIM_CHECK(e.*key >= 0 && e.*key < bound);
+    ++starts[static_cast<size_t>(e.*key) + 1];
+  }
+  for (size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
+  std::vector<int64_t> cursor(starts.begin(), starts.end() - 1);
+  for (const TemporalEdge& e : from)
+    to[static_cast<size_t>(cursor[static_cast<size_t>(e.*key)]++)] = e;
+  return starts;
+}
+
+/// Sort key of the adjacency order, by time and then by the other endpoint.
+/// Both fields are non-negative, so one 64-bit compare orders them.
+uint64_t AdjacencyKey(const TemporalNeighbor& a) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(a.t)) << 32 |
+         static_cast<uint32_t>(a.node);
+}
+
+}  // namespace
+
 void TemporalGraph::Finalize() {
   TGSIM_CHECK(!finalized_);
-  std::sort(edges_.begin(), edges_.end());
+  const size_t n = static_cast<size_t>(num_nodes_);
 
-  // Timestamp offsets for EdgesAt.
-  t_offsets_.assign(static_cast<size_t>(num_timestamps_) + 1, 0);
-  for (const TemporalEdge& e : edges_) ++t_offsets_[static_cast<size_t>(e.t) + 1];
-  for (int t = 0; t < num_timestamps_; ++t)
-    t_offsets_[t + 1] += t_offsets_[t];
-
-  // Bidirectional temporal adjacency grouped by node.
-  std::vector<int64_t> counts(static_cast<size_t>(num_nodes_) + 1, 0);
-  for (const TemporalEdge& e : edges_) {
-    ++counts[static_cast<size_t>(e.u) + 1];
-    if (e.v != e.u) ++counts[static_cast<size_t>(e.v) + 1];
-  }
-  adj_offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  for (int i = 0; i < num_nodes_; ++i)
-    adj_offsets_[i + 1] = adj_offsets_[i] + counts[static_cast<size_t>(i) + 1];
-  adj_.resize(static_cast<size_t>(adj_offsets_[num_nodes_]));
-  std::vector<int64_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
-  for (const TemporalEdge& e : edges_) {
-    adj_[static_cast<size_t>(cursor[e.u]++)] = {e.v, e.t};
-    if (e.v != e.u) adj_[static_cast<size_t>(cursor[e.v]++)] = {e.u, e.t};
-  }
-  for (int u = 0; u < num_nodes_; ++u) {
-    std::sort(adj_.begin() + adj_offsets_[u], adj_.begin() + adj_offsets_[u + 1],
-              [](const TemporalNeighbor& a, const TemporalNeighbor& b) {
-                return a.t < b.t || (a.t == b.t && a.node < b.node);
-              });
+  // Edge stream in (t, u, v) order: stable counting passes on v, then u,
+  // then t. Equal keys are equal edges, so this is the order std::sort
+  // gives. The u pass's buckets are the out-adjacency offsets and the t
+  // pass's the timestamp offsets.
+  {
+    std::vector<TemporalEdge> scratch(edges_.size());
+    CountingPass(edges_, scratch, num_nodes_, &TemporalEdge::v);
+    out_offsets_ = CountingPass(scratch, edges_, num_nodes_, &TemporalEdge::u);
+    t_offsets_ =
+        CountingPass(edges_, scratch, num_timestamps_, &TemporalEdge::t);
+    edges_.swap(scratch);
   }
 
-  // Directed out-adjacency (source -> destinations).
-  std::vector<int64_t> out_counts(static_cast<size_t>(num_nodes_) + 1, 0);
+  // Bidirectional adjacency: node x's segment is its out-run followed by
+  // its in-run (edges y -> x with y != x, so a self-loop is listed once).
+  adj_offsets_.assign(n + 1, 0);
   for (const TemporalEdge& e : edges_)
-    ++out_counts[static_cast<size_t>(e.u) + 1];
-  out_offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  for (int i = 0; i < num_nodes_; ++i)
-    out_offsets_[i + 1] =
-        out_offsets_[i] + out_counts[static_cast<size_t>(i) + 1];
-  out_adj_.resize(static_cast<size_t>(out_offsets_[num_nodes_]));
-  std::vector<int64_t> out_cursor(out_offsets_.begin(),
-                                  out_offsets_.end() - 1);
+    if (e.u != e.v) ++adj_offsets_[static_cast<size_t>(e.v) + 1];
+  std::vector<int64_t> cursor(n);
+  for (size_t x = 0; x < n; ++x) {
+    const int64_t out_degree = out_offsets_[x + 1] - out_offsets_[x];
+    adj_offsets_[x + 1] += adj_offsets_[x] + out_degree;
+    cursor[x] = adj_offsets_[x] + out_degree;
+  }
+  adj_.resize(static_cast<size_t>(adj_offsets_[n]));
+  // Scatter each in-run into the tail of its segment; it arrives sorted by
+  // (t, u) because edges_ is.
   for (const TemporalEdge& e : edges_)
-    out_adj_[static_cast<size_t>(out_cursor[e.u]++)] = {e.v, e.t};
-  // Edges are already sorted by (t,u,v), so each node's out list is sorted
-  // by t; no extra sort needed.
+    if (e.u != e.v)
+      adj_[static_cast<size_t>(cursor[static_cast<size_t>(e.v)]++)] = {
+          e.u, e.t};
+
+  // Directed out-adjacency: a scatter by source, so each node's run
+  // arrives sorted by (t, v).
+  out_adj_.resize(edges_.size());
+  std::copy(out_offsets_.begin(), out_offsets_.end() - 1, cursor.begin());
+  for (const TemporalEdge& e : edges_)
+    out_adj_[static_cast<size_t>(cursor[static_cast<size_t>(e.u)]++)] = {
+        e.v, e.t};
+
+  // Merge the out-run forward into the head, selecting rather than
+  // branching on each comparison. The write cursor never passes the unread
+  // tail. Once a run is spent, the rest of the out-run is copied, and the
+  // rest of the tail is already in place.
+  for (size_t x = 0; x < n; ++x) {
+    const TemporalNeighbor* out = out_adj_.data() + out_offsets_[x];
+    const TemporalNeighbor* const out_end =
+        out_adj_.data() + out_offsets_[x + 1];
+    TemporalNeighbor* write = adj_.data() + adj_offsets_[x];
+    const TemporalNeighbor* in = write + (out_end - out);
+    const TemporalNeighbor* const in_end = adj_.data() + adj_offsets_[x + 1];
+    while (out != out_end && in != in_end) {
+      const bool take_in = AdjacencyKey(*in) < AdjacencyKey(*out);
+      *write++ = *(take_in ? in : out);
+      in += take_in;
+      out += !take_in;
+    }
+    std::copy(out, out_end, write);
+  }
   finalized_ = true;
 }
 

@@ -38,7 +38,12 @@ class TemporalGraph {
 
   void AddEdge(NodeId u, NodeId v, Timestamp t);
   /// Sorts edges by (t, u, v) and builds timestamp offsets + per-node
-  /// adjacency (both directions, sorted by time).
+  /// adjacency (both directions, sorted by (t, other endpoint)). Linear
+  /// passes, O(m + n + T): three stable counting passes order the edges
+  /// (one transient m-edge copy, freed before the adjacency build), a
+  /// scatter by source builds the out-adjacency, and each node's in-edges
+  /// are merged with its out-run in place. Aborts, in every build, on an
+  /// edge outside [0, n) x [0, n) x [0, T).
   void Finalize();
   bool finalized() const { return finalized_; }
 

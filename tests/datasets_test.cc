@@ -518,6 +518,107 @@ TEST(BinaryIoTest, ZeroCountsAreInvalidArgument) {
       << r.status().message();
 }
 
+// ---------------------------------------------------------------------------
+// Shape bound: a tiny file cannot declare or imply a huge graph.
+// ---------------------------------------------------------------------------
+
+/// `tgsimedg` magic, then one-varint node, timestamp and edge counts.
+std::string BinaryCountsOnly(const std::string& nodes,
+                             const std::string& timestamps) {
+  return std::string(kBinaryEdgeListMagic, sizeof(kBinaryEdgeListMagic) - 1) +
+         nodes + timestamps + std::string("\x00", 1);
+}
+
+TEST(ShapeBoundTest, TinyFilesClaimingHugeGraphsAreInvalidArgument) {
+  // 2^31 - 1 as a LEB128 varint.
+  const std::string int_max("\xff\xff\xff\xff\x07", 5);
+  const struct {
+    const char* name;
+    std::string bytes;
+  } cases[] = {
+      {"header_nodes.txt", "# 2147483647 1\n"},
+      {"inferred_nodes.txt", "0 1 0\n2000000000 0 0\n"},
+      {"binary_nodes.bin", BinaryCountsOnly(int_max, "\x01")},
+      {"binary_timestamps.bin", BinaryCountsOnly("\x01", int_max)},
+  };
+  for (const auto& c : cases) {
+    // Each 15- to 21-byte file claims about 2^31 nodes or timestamps:
+    // unchecked, Finalize would size its indexes by that and die with
+    // std::bad_alloc.
+    const std::string path = TempPath(c.name);
+    WriteFileBytes(path, c.bytes);
+    Result<graphs::TemporalGraph> r = LoadEdgeList(path);
+    ASSERT_FALSE(r.ok()) << c.name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(r.status().message().find("edges justify"), std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST(ShapeBoundTest, InferredTimestampSpanIsBounded) {
+  // A headerless file infers T from its timestamp span.
+  const std::string path = TempPath("inferred_timestamps.txt");
+  WriteFileBytes(path, "0 1 0\n1 0 5000000000\n");
+  Result<graphs::TemporalGraph> r = LoadEdgeList(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("edges justify"), std::string::npos)
+      << r.status().message();
+}
+
+TEST(ShapeBoundTest, FloorAdmitsSparseGraphs) {
+  // CI's out-of-core input: 150000 declared nodes, 12000 edges on 600.
+  const std::string path = TempPath("sparse.txt");
+  {
+    std::ofstream out(path);
+    out << "# 150000 3\n";
+    Rng rng(17);
+    for (int i = 0; i < 12000; ++i)
+      out << rng.UniformInt(600) << " " << rng.UniformInt(600) << " "
+          << i % 3 << "\n";
+  }
+  Result<graphs::TemporalGraph> sparse = LoadEdgeList(path);
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_EQ(sparse.value().num_nodes(), 150000);
+  // Past the 2^21 floor, a file needs edges to justify its counts.
+  WriteFileBytes(path, "# 2097153 1\n");
+  EXPECT_FALSE(LoadEdgeList(path).ok());
+  WriteFileBytes(path, "# 1 2097153\n");
+  EXPECT_FALSE(LoadEdgeList(path).ok());
+}
+
+TEST(ShapeBoundTest, EdgesJustifyTwiceTheirCountInNodes) {
+  // m = 2^20 + 1 disjoint edges justify 2m = 2^21 + 2 nodes, just past
+  // the floor; one node more is refused.
+  constexpr int kEdges = (1 << 20) + 1;
+  const std::string path = TempPath("edge_bound.bin");
+  {
+    std::vector<graphs::TemporalEdge> edges;
+    edges.reserve(kEdges);
+    for (int i = 0; i < kEdges; ++i) edges.push_back({2 * i, 2 * i + 1, 0});
+    ASSERT_TRUE(SaveEdgeListBinary(graphs::TemporalGraph::FromEdges(
+                                       2 * kEdges, 1, std::move(edges)),
+                                   path)
+                    .ok());
+  }
+  {
+    Result<graphs::TemporalGraph> loaded = LoadEdgeList(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().num_nodes(), 2 * kEdges);
+    EXPECT_EQ(loaded.value().num_edges(), kEdges);
+  }
+  // 2^21 + 2 is the varint 82 80 80 01; 2^21 + 3 has the same length.
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.substr(8, 4), std::string("\x82\x80\x80\x01", 4));
+  bytes[8] = '\x83';
+  WriteFileBytes(path, bytes);
+  Result<graphs::TemporalGraph> refused = LoadEdgeList(path);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("edges justify"),
+            std::string::npos)
+      << refused.status().message();
+}
+
 TEST(BinaryIoTest, OverlongVarintIsInvalidArgument) {
   // Eleven continuation bytes: no varint may run past ten bytes.
   std::string bytes(kBinaryEdgeListMagic, sizeof(kBinaryEdgeListMagic) - 1);

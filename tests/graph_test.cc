@@ -1,7 +1,12 @@
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "config/param_map.h"
+#include "datasets/synthetic.h"
+#include "eval/registry.h"
 #include "graph/static_graph.h"
 #include "graph/temporal_graph.h"
 #include "gtest/gtest.h"
@@ -136,7 +141,141 @@ TEST(TemporalGraphDeathTest, AddAfterFinalizeAborts) {
 
 TEST(TemporalGraphDeathTest, OutOfRangeEdgeAborts) {
   EXPECT_DEATH(TemporalGraph::FromEdges(2, 2, {{0, 5, 0}}), "CHECK failed");
+  EXPECT_DEATH(TemporalGraph::FromEdges(2, 2, {{5, 0, 0}}), "CHECK failed");
   EXPECT_DEATH(TemporalGraph::FromEdges(2, 2, {{0, 1, 7}}), "CHECK failed");
+  EXPECT_DEATH(TemporalGraph::FromEdges(2, 2, {{0, 1, -1}}), "CHECK failed");
+}
+
+TEST(TemporalGraphDeathTest, OutOfRangeAddEdgeAbortsInFinalize) {
+  // Finalize range-checks every edge in Release builds too: an unchecked
+  // id would index past its counting arrays.
+  EXPECT_DEATH(
+      {
+        TemporalGraph g(2, 1);
+        g.AddEdge(0, 5, 0);
+        g.Finalize();
+      },
+      "CHECK failed");
+}
+
+// ---------------------------------------------------------------------------
+// Finalize against a reference index built with comparison sorts.
+// ---------------------------------------------------------------------------
+
+/// The indexes a finalized graph exposes, rebuilt the straightforward way:
+/// std::sort on (t, u, v), then each node's occurrences (both directions,
+/// a self-loop once) sorted by (t, other endpoint).
+struct ReferenceIndex {
+  std::vector<TemporalEdge> edges;
+  std::vector<std::vector<TemporalNeighbor>> neighbors;
+  std::vector<std::vector<TemporalNeighbor>> out_neighbors;
+};
+
+ReferenceIndex BuildReference(int num_nodes, std::vector<TemporalEdge> edges) {
+  ReferenceIndex ref;
+  std::sort(edges.begin(), edges.end());
+  ref.neighbors.resize(static_cast<size_t>(num_nodes));
+  ref.out_neighbors.resize(static_cast<size_t>(num_nodes));
+  for (const TemporalEdge& e : edges) {
+    ref.out_neighbors[static_cast<size_t>(e.u)].push_back({e.v, e.t});
+    ref.neighbors[static_cast<size_t>(e.u)].push_back({e.v, e.t});
+    if (e.u != e.v)
+      ref.neighbors[static_cast<size_t>(e.v)].push_back({e.u, e.t});
+  }
+  const auto by_time_then_node = [](const TemporalNeighbor& a,
+                                    const TemporalNeighbor& b) {
+    return a.t < b.t || (a.t == b.t && a.node < b.node);
+  };
+  for (auto& list : ref.neighbors)
+    std::sort(list.begin(), list.end(), by_time_then_node);
+  for (auto& list : ref.out_neighbors)
+    std::sort(list.begin(), list.end(), by_time_then_node);
+  ref.edges = std::move(edges);
+  return ref;
+}
+
+/// Element-for-element comparison of every index g exposes.
+void ExpectMatchesReference(const TemporalGraph& g, const ReferenceIndex& ref,
+                            const std::string& label) {
+  ASSERT_EQ(g.edges(), ref.edges) << label;
+  size_t begin = 0;
+  for (Timestamp t = 0; t < g.num_timestamps(); ++t) {
+    size_t end = begin;
+    while (end < ref.edges.size() && ref.edges[end].t == t) ++end;
+    const auto at = g.EdgesAt(t);
+    ASSERT_EQ(std::vector<TemporalEdge>(at.begin(), at.end()),
+              std::vector<TemporalEdge>(ref.edges.begin() + begin,
+                                        ref.edges.begin() + end))
+        << label << " t=" << t;
+    begin = end;
+  }
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const auto nbrs = g.Neighbors(u);
+    ASSERT_EQ(std::vector<TemporalNeighbor>(nbrs.begin(), nbrs.end()),
+              ref.neighbors[static_cast<size_t>(u)])
+        << label << " Neighbors(" << u << ")";
+    const auto out = g.OutNeighbors(u);
+    ASSERT_EQ(std::vector<TemporalNeighbor>(out.begin(), out.end()),
+              ref.out_neighbors[static_cast<size_t>(u)])
+        << label << " OutNeighbors(" << u << ")";
+  }
+}
+
+TEST(TemporalGraphFinalizeTest, MatchesComparisonSortReference) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed + 1000);
+    const int n = static_cast<int>(rng.UniformInt(1, 40));
+    const int num_t = static_cast<int>(rng.UniformInt(1, 6));
+    // Every tenth graph has no edges; the rest mix dense and sparse ones.
+    const int64_t m = seed % 10 == 0 ? 0 : rng.UniformInt(1, 4 * n + 20);
+    // Some graphs touch only part of the node range, leaving isolated
+    // nodes at both ends.
+    const int lo = static_cast<int>(rng.UniformInt(0, (n - 1) / 3));
+    const int hi = static_cast<int>(rng.UniformInt(lo, n - 1));
+    std::vector<TemporalEdge> edges;
+    for (int64_t i = 0; i < m; ++i) {
+      const auto node = [&] {
+        return static_cast<NodeId>(rng.UniformInt(lo, hi));
+      };
+      const NodeId u = node();
+      const NodeId v = rng.Bernoulli(0.15) ? u : node();  // Self-loops.
+      const auto t = static_cast<Timestamp>(rng.UniformInt(num_t));
+      edges.push_back({u, v, t});
+      // Repeated edges, in both directions and at the same timestamp.
+      if (rng.Bernoulli(0.2)) edges.push_back({u, v, t});
+      if (rng.Bernoulli(0.1)) edges.push_back({v, u, t});
+    }
+    rng.Shuffle(edges);
+    const std::string label = "seed " + std::to_string(seed);
+    const ReferenceIndex ref = BuildReference(n, edges);
+
+    TemporalGraph added(n, num_t);
+    for (const TemporalEdge& e : edges) added.AddEdge(e.u, e.v, e.t);
+    added.Finalize();
+    ExpectMatchesReference(added, ref, label + " AddEdge");
+    ExpectMatchesReference(TemporalGraph::FromEdges(n, num_t, edges), ref,
+                           label + " FromEdges");
+  }
+}
+
+TEST(TemporalGraphFinalizeTest, GeneratedGraphsReindexIdentically) {
+  const TemporalGraph observed = datasets::MakeMimicByName("DBLP", 0.03, 5);
+  for (const std::string& method : eval::AllMethodNames()) {
+    config::ParamMap fast;
+    fast.Override("preset", "fast");
+    auto gen = std::move(eval::MakeGenerator(method, fast)).value();
+    Rng rng(17);
+    gen->Fit(observed, rng);
+    const TemporalGraph out = gen->Generate(rng);
+    std::vector<TemporalEdge> shuffled = out.edges();
+    rng.Shuffle(shuffled);
+    const ReferenceIndex ref = BuildReference(out.num_nodes(), shuffled);
+    ExpectMatchesReference(out, ref, method);
+    ExpectMatchesReference(
+        TemporalGraph::FromEdges(out.num_nodes(), out.num_timestamps(),
+                                 std::move(shuffled)),
+        ref, method + " reindexed");
+  }
 }
 
 // ---------------------------------------------------------------------------
