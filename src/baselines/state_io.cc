@@ -161,10 +161,19 @@ Status ReadShape(const serialize::ArchiveReader& reader,
       per_t.value().size() != static_cast<size_t>(timestamps.value()))
     return Status::InvalidArgument(
         "corrupt archive: inconsistent shape section");
-  for (int64_t count : per_t.value())
+  // The edge total saturates at INT_MAX, past which the bound is flat.
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  int64_t num_edges = 0;
+  for (int64_t count : per_t.value()) {
     if (count < 0)
       return Status::InvalidArgument(
           "corrupt archive: negative per-timestamp edge count");
+    num_edges = std::min(num_edges + std::min(count, kMaxInt), kMaxInt);
+  }
+  Status bound = graphs::CheckShapeJustifiedByEdges(
+      nodes.value(), timestamps.value(), num_edges);
+  if (!bound.ok())
+    return Status::InvalidArgument("corrupt archive: " + bound.message());
   shape.num_nodes = static_cast<int>(nodes.value());
   shape.num_timestamps = static_cast<int>(timestamps.value());
   shape.edges_per_timestamp = std::move(per_t).value();
@@ -209,6 +218,12 @@ Result<graphs::TemporalGraph> ReadSupportGraph(
       u.value().size() != t.value().size())
     return Status::InvalidArgument("corrupt archive: inconsistent '" +
                                    section + "' graph section");
+  Status bound = graphs::CheckShapeJustifiedByEdges(
+      nodes.value(), timestamps.value(),
+      static_cast<int64_t>(u.value().size()));
+  if (!bound.ok())
+    return Status::InvalidArgument("corrupt archive: '" + section +
+                                   "' graph section " + bound.message());
   std::vector<graphs::TemporalEdge> edges;
   edges.reserve(u.value().size());
   for (size_t i = 0; i < u.value().size(); ++i) {

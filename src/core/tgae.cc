@@ -387,23 +387,23 @@ void TgaeGenerator::TrainEpochs(int epochs,
     DecodedBatch batch = Encode(egos, /*centers_only=*/false,
                                 /*stochastic=*/true, rng);
     nn::SparseRowTargets targets = TargetRows(batch.row_nodes);
-    nn::Var loss;
     if (config_.sparse_decoder) {
       // Candidate set: the batch's positives plus `negative_samples`
-      // shared uniform negatives, so the sampled softmax scores each row
-      // on O(positives + negatives) columns instead of all n.
+      // shared uniform negatives, so the softmax of each row runs over
+      // O(positives + negatives) columns instead of all n.
       CandidateSet candidates(n);
       for (int c : targets.cols) candidates.Add(c);
       for (int s = 0; s < config_.negative_samples; ++s)
         candidates.Add(static_cast<int>(rng.UniformInt(n)));
-      // Remap the targets from global node ids to candidate space.
+      // Remap the targets from global node ids to candidate space;
+      // distinct nodes get distinct slots, so no row repeats a column.
       for (int& c : targets.cols) c = candidates.slot_of(c);
       DecodeLogits(batch, &candidates.columns());
-      loss = nn::SampledSoftmaxCrossEntropy(batch.logits, targets);
     } else {
       DecodeLogits(batch, /*candidates=*/nullptr);
-      loss = nn::RowCrossEntropyWithLogits(batch.logits, std::move(targets));
     }
+    nn::Var loss =
+        nn::RowCrossEntropyWithLogits(batch.logits, std::move(targets));
     if (config_.probabilistic) {
       loss = nn::Add(loss, nn::Scale(nn::KlToStandardNormal(
                                          batch.mu, batch.logvar),

@@ -65,13 +65,14 @@ struct TgaeConfig {
   bool tie_decoder = true;
   /// Sparse training loss: each decoded row is scored only on its
   /// candidate set (the batch's positives plus `negative_samples` shared
-  /// negatives) via SampledSoftmaxCrossEntropy, O(positives + negatives)
-  /// per row. The dense n-wide loss stays the default (and `preset=paper`);
-  /// `preset=fast` flips this on. Generation never reads it: every preset
-  /// scores only each row's support columns.
+  /// negatives), O(positives + negatives) per row. The candidate-space
+  /// logits go through the same sparse-target RowCrossEntropyWithLogits
+  /// as the dense n-wide loss, which stays the default (and
+  /// `preset=paper`); `preset=fast` flips this on. Generation never reads
+  /// it: every preset scores only each row's support columns.
   bool sparse_decoder = false;
   /// Shared negative samples per training batch (sparse decoder only):
-  /// uniform node draws appended to the candidate set so the sampled
+  /// uniform node draws appended to the candidate set so the candidate
   /// softmax sees columns outside the batch's positive support.
   int negative_samples = 64;
   /// Center-batch chunk size during generation (bounds encoder memory).
@@ -155,7 +156,7 @@ class TgaeGenerator : public baselines::TemporalGraphGenerator {
   struct DecodedBatch {
     nn::Var rows;    // R x d_enc decoder inputs (h_center + path-sum z).
     nn::Var logits;  // Training only, filled by DecodeLogits: R x n (dense
-                     // loss) or R x |candidates| (sampled softmax).
+                     // loss) or R x |candidates| (sparse decoder).
     std::vector<graphs::TemporalNodeRef> row_nodes;
     nn::Var mu;      // Variational head outputs (for the KL term); logvar
     nn::Var logvar;  // is set only by a stochastic encode.

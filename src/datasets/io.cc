@@ -69,25 +69,16 @@ Status ReadVarint(std::istream& in, const std::string& path,
       "varint runs past 10 bytes in binary edge list: " + path);
 }
 
-/// A loaded edge list may declare or infer this many nodes and timestamps
-/// whatever its edge count (see LoadEdgeList).
-constexpr int64_t kMinShapeBound = int64_t{1} << 21;
-
 /// The one shape check of both formats, run once the edges are read and
-/// before Finalize allocates O(n + T): m edges justify at most
-/// max(2^21, 2m) nodes and max(2^21, m) timestamps.
+/// before Finalize allocates O(n + T).
 Result<graphs::TemporalGraph> BuildLoadedGraph(
     int64_t num_nodes, int64_t num_timestamps,
     std::vector<graphs::TemporalEdge> edges, const std::string& path) {
-  const int64_t m = static_cast<int64_t>(edges.size());
-  const int64_t max_int = std::numeric_limits<int>::max();
-  if (num_nodes > std::min(max_int, std::max(kMinShapeBound, 2 * m)) ||
-      num_timestamps > std::min(max_int, std::max(kMinShapeBound, m)))
-    return Status::InvalidArgument(
-        "edge list shape " + std::to_string(num_nodes) + " nodes x " +
-        std::to_string(num_timestamps) + " timestamps is more than its " +
-        std::to_string(m) + " edges justify (bound: max(2^21, 2 x edges) " +
-        "nodes, max(2^21, edges) timestamps): " + path);
+  Status bound = graphs::CheckShapeJustifiedByEdges(
+      num_nodes, num_timestamps, static_cast<int64_t>(edges.size()));
+  if (!bound.ok())
+    return Status::InvalidArgument("edge list " + bound.message() + ": " +
+                                   path);
   return graphs::TemporalGraph::FromEdges(static_cast<int>(num_nodes),
                                           static_cast<int>(num_timestamps),
                                           std::move(edges));

@@ -1,8 +1,27 @@
 #include "graph/temporal_graph.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 namespace tgsim::graphs {
+
+Status CheckShapeJustifiedByEdges(int64_t num_nodes, int64_t num_timestamps,
+                                  int64_t num_edges) {
+  constexpr int64_t kFloor = int64_t{1} << 21;
+  constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+  // Both bounds stop at INT_MAX, so capping m there keeps 2m in range
+  // without moving either bound.
+  const int64_t m = std::min(num_edges, kMaxInt);
+  if (num_nodes <= std::min(kMaxInt, std::max(kFloor, 2 * m)) &&
+      num_timestamps <= std::min(kMaxInt, std::max(kFloor, m)))
+    return Status::Ok();
+  return Status::InvalidArgument(
+      "shape " + std::to_string(num_nodes) + " nodes x " +
+      std::to_string(num_timestamps) + " timestamps is more than its " +
+      std::to_string(num_edges) + " edges justify (bound: max(2^21, " +
+      "2 x edges) nodes, max(2^21, edges) timestamps)");
+}
 
 TemporalGraph::TemporalGraph(int num_nodes, int num_timestamps)
     : num_nodes_(num_nodes), num_timestamps_(num_timestamps) {

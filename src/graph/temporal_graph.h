@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 #include "graph/static_graph.h"
 #include "graph/types.h"
 
@@ -22,6 +23,14 @@ struct TemporalNeighbor {
     return a.node == b.node && a.t == b.t;
   }
 };
+
+/// The shape bound of a graph read from outside the program (an edge list,
+/// or an artifact's shape or support graph), checked before anything sized
+/// by its counts is allocated: m edges justify at most max(2^21, 2m) nodes
+/// and max(2^21, m) timestamps, and neither count may pass INT_MAX. A larger
+/// shape is InvalidArgument.
+Status CheckShapeJustifiedByEdges(int64_t num_nodes, int64_t num_timestamps,
+                                  int64_t num_edges);
 
 /// A temporal graph G~ = {G_1, ..., G_T}: a stream of directed timestamped
 /// edges over a fixed node set (paper Def. 2).

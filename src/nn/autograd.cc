@@ -544,37 +544,6 @@ Var ConcatCols(const std::vector<Var>& vs) {
   });
 }
 
-Var ConcatRows(const std::vector<Var>& vs) {
-  TGSIM_CHECK(!vs.empty());
-  int cols = vs[0].cols();
-  int rows = 0;
-  for (const Var& v : vs) {
-    TGSIM_CHECK_EQ(v.cols(), cols);
-    rows += v.rows();
-  }
-  Tensor out(rows, cols);
-  int offset = 0;
-  for (const Var& v : vs) {
-    for (int r = 0; r < v.rows(); ++r)
-      for (int c = 0; c < cols; ++c)
-        out.at(offset + r, c) = v.value().at(r, c);
-    offset += v.rows();
-  }
-  return MakeOp(std::move(out), vs, [](Node& self) {
-    int offset = 0;
-    for (auto& p : self.parents) {
-      int pr = p->value.rows();
-      if (NeedsGrad(p)) {
-        p->EnsureGrad();
-        for (int r = 0; r < pr; ++r)
-          for (int c = 0; c < p->value.cols(); ++c)
-            p->grad.at(r, c) += self.grad.at(offset + r, c);
-      }
-      offset += pr;
-    }
-  });
-}
-
 Var SliceCols(const Var& a, int begin, int end) {
   TGSIM_CHECK(0 <= begin && begin <= end && end <= a.cols());
   const int rows = a.rows();
@@ -874,84 +843,6 @@ Var RowCrossEntropyWithLogits(const Var& logits, SparseRowTargets targets) {
                 for (int e = begin; e < end; ++e)
                   go[static_cast<size_t>(t.cols[static_cast<size_t>(e)])] =
                       0.0;
-              }
-            });
-      });
-}
-
-Var SampledSoftmaxCrossEntropy(const Var& logits,
-                               const SparseRowTargets& targets) {
-  const Tensor& x = logits.value();
-  const int rows = x.rows();
-  const int cols = x.cols();
-  TGSIM_CHECK_EQ(targets.rows(), rows);
-  TGSIM_CHECK_EQ(targets.cols.size(), targets.weights.size());
-  for (int c : targets.cols) TGSIM_CHECK(c >= 0 && c < cols);
-  TGSIM_CHECK_GT(rows, 0);
-
-  // Per-row losses computed in parallel (disjoint slots), combined by a
-  // serial ascending sweep so the total keeps one FP association for any
-  // thread count.
-  std::vector<Scalar> row_loss(static_cast<size_t>(rows), 0.0);
-  parallel::ParallelFor(
-      0, rows, RowGrain(cols), [&](int64_t r0, int64_t r1) {
-        std::vector<Scalar> scratch(static_cast<size_t>(cols));
-        for (int64_t ri = r0; ri < r1; ++ri) {
-          const int r = static_cast<int>(ri);
-          const int begin = targets.offsets[static_cast<size_t>(r)];
-          const int end = targets.offsets[static_cast<size_t>(r) + 1];
-          if (begin == end) continue;
-          const Scalar m = kernels::RowMax(x.row(r), cols);
-          const Scalar z = kernels::ExpRowSum(x.row(r), m, scratch.data(),
-                                              cols);
-          Scalar log_z = m + std::log(z);
-          Scalar loss = 0.0;
-          for (int e = begin; e < end; ++e)
-            loss += targets.weights[static_cast<size_t>(e)] *
-                    (log_z - x.at(r, targets.cols[static_cast<size_t>(e)]));
-          row_loss[static_cast<size_t>(r)] = loss;
-        }
-      });
-  Scalar total = 0.0;
-  for (Scalar l : row_loss) total += l;
-  Tensor out(1, 1);
-  out.at(0, 0) = total / static_cast<Scalar>(rows);
-
-  SparseRowTargets tcopy = targets;
-  return MakeOp(
-      std::move(out), {logits},
-      [t = std::move(tcopy), rows](Node& self) {
-        auto& pa = self.parents[0];
-        if (!NeedsGrad(pa)) return;
-        pa->EnsureGrad();
-        const Scalar g = self.grad.at(0, 0) / static_cast<Scalar>(rows);
-        const int cols = pa->value.cols();
-        // d/dl_c = W_r * softmax(l)_c - w_c, with W_r the row's target
-        // mass. Rows are disjoint across chunks.
-        parallel::ParallelFor(
-            0, static_cast<int64_t>(rows), RowGrain(cols),
-            [&](int64_t r0, int64_t r1) {
-              std::vector<Scalar> scratch(static_cast<size_t>(cols));
-              for (int64_t ri = r0; ri < r1; ++ri) {
-                const int r = static_cast<int>(ri);
-                const int begin = t.offsets[static_cast<size_t>(r)];
-                const int end = t.offsets[static_cast<size_t>(r) + 1];
-                if (begin == end) continue;
-                Scalar mass = 0.0;
-                for (int e = begin; e < end; ++e)
-                  mass += t.weights[static_cast<size_t>(e)];
-                const Scalar* xr = pa->value.row(r);
-                const Scalar m = kernels::RowMax(xr, cols);
-                const Scalar z =
-                    kernels::ExpRowSum(xr, m, scratch.data(), cols);
-                // grad += ((g*mass) * exp(x-m)) / z, with the g*mass
-                // product hoisted exactly as the old inline expression
-                // associated it.
-                kernels::AxpyDivRow(g * mass, scratch.data(), z,
-                                    pa->grad.row(r), cols);
-                for (int e = begin; e < end; ++e)
-                  pa->grad.at(r, t.cols[static_cast<size_t>(e)]) -=
-                      g * t.weights[static_cast<size_t>(e)];
               }
             });
       });

@@ -116,8 +116,6 @@ Var Mean(const Var& a);
 
 /// Column-wise concatenation [a0 | a1 | ...]; all inputs share rows.
 Var ConcatCols(const std::vector<Var>& vs);
-/// Row-wise concatenation; all inputs share cols.
-Var ConcatRows(const std::vector<Var>& vs);
 /// Columns [begin, end) of a; backward scatter-adds into the slice. Used to
 /// split per-head views out of a batched multi-head projection.
 Var SliceCols(const Var& a, int begin, int end);
@@ -148,8 +146,9 @@ Var RowCrossEntropyWithLogits(const Var& logits, const Tensor& targets);
 
 /// Sparse per-row targets in CSR form: row i owns the entries
 /// [offsets[i], offsets[i+1]) of cols/weights. `cols` index the columns of
-/// the logits they will be scored against (candidate-space columns for the
-/// sampled-softmax loss). Rows may be empty (zero loss contribution).
+/// the logits they will be scored against: global node ids for the dense
+/// decode, candidate slots for a decode over a candidate set. Rows may be
+/// empty (zero loss contribution).
 struct SparseRowTargets {
   std::vector<int> offsets{0};
   std::vector<int> cols;
@@ -164,22 +163,15 @@ struct SparseRowTargets {
 };
 
 /// RowCrossEntropyWithLogits with the targets given sparsely, in the
-/// logits' own (global) column space: the dense n-wide loss without a
-/// dense target tensor. Entries of a row may come in any order; a column
-/// may appear at most once per row. Value and gradient are bit-identical
-/// to Scale(Sum(Mul(LogSoftmaxRows(logits), Var::Constant(T))), -1.0 / R)
+/// logits' own column space: the loss without a dense target tensor. The
+/// softmax runs over the logits' columns only, so logits decoded over a
+/// candidate set C make the loss O(|C|) per row instead of O(n). Entries
+/// of a row may come in any order; a column may appear at most once per
+/// row. Value and gradient are bit-identical to
+/// Scale(Sum(Mul(LogSoftmaxRows(logits), Var::Constant(T))), -1.0 / R)
 /// on the scattered targets T, while the op allocates no rows x cols
 /// tensor of its own.
 Var RowCrossEntropyWithLogits(const Var& logits, SparseRowTargets targets);
-
-/// Sampled-softmax cross entropy: mean over rows of
-/// -sum_j w_j * log_softmax(logit_row)[c_j], with the softmax taken over
-/// the logits' columns only (the candidate set: positives plus shared
-/// negatives). With logits gathered over a candidate set C this makes the
-/// reconstruction term O(|C|) per row instead of O(n); with C = all n
-/// columns it equals RowCrossEntropyWithLogits on the scattered targets.
-Var SampledSoftmaxCrossEntropy(const Var& logits,
-                               const SparseRowTargets& targets);
 
 /// Mean elementwise binary cross entropy with logits; positive entries can
 /// be up-weighted (VGAE-style class balancing).

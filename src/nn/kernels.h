@@ -311,13 +311,6 @@ inline void LogSoftmaxBwdRow(const Scalar* TGSIM_RESTRICT go,
   for (int i = 0; i < n; ++i) gi[i] += go[i] - p[i] * gsum;
 }
 
-/// gi[i] += (a * e[i]) / z — the dense half of the sampled-softmax
-/// backward (a = upstream_grad * mass, e = saved exp row, z = row sum).
-inline void AxpyDivRow(Scalar a, const Scalar* TGSIM_RESTRICT e, Scalar z,
-                       Scalar* TGSIM_RESTRICT gi, int n) {
-  for (int i = 0; i < n; ++i) gi[i] += (a * e[i]) / z;
-}
-
 /// One fused Adam update over a contiguous chunk — the exact expression
 /// sequence of the serial optimizer loop, element by element:
 ///   m[j] = beta1*m[j] + (1-beta1)*g[j]
@@ -452,11 +445,6 @@ inline void SoftmaxBwdRow(const Scalar* go, const Scalar* y, Scalar dot,
 inline void LogSoftmaxBwdRow(const Scalar* go, const Scalar* p, Scalar gsum,
                              Scalar* gi, int n) {
   Ops().logsoftmax_bwd_row(go, p, gsum, gi, n);
-}
-
-inline void AxpyDivRow(Scalar a, const Scalar* e, Scalar z, Scalar* gi,
-                       int n) {
-  Ops().axpy_div_row(a, e, z, gi, n);
 }
 
 inline void AdamRow(Scalar* x, Scalar* m, Scalar* v, const Scalar* g,

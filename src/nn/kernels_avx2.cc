@@ -309,18 +309,6 @@ void LogSoftmaxBwdRowAvx2(const Scalar* go, const Scalar* p, Scalar gsum,
   for (; i < n; ++i) gi[i] += go[i] - p[i] * gsum;
 }
 
-void AxpyDivRowAvx2(Scalar a, const Scalar* e, Scalar z, Scalar* gi, int n) {
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d zv = _mm256_set1_pd(z);
-  int i = 0;
-  for (; i + 3 < n; i += 4) {
-    const __m256d t =
-        _mm256_div_pd(_mm256_mul_pd(av, _mm256_loadu_pd(e + i)), zv);
-    _mm256_storeu_pd(gi + i, _mm256_add_pd(_mm256_loadu_pd(gi + i), t));
-  }
-  for (; i < n; ++i) gi[i] += (a * e[i]) / z;
-}
-
 void AdamRowAvx2(Scalar* x, Scalar* m, Scalar* v, const Scalar* g,
                  Scalar beta1, Scalar one_minus_beta1, Scalar beta2,
                  Scalar one_minus_beta2, Scalar bias1, Scalar bias2,
@@ -365,8 +353,6 @@ const KernelOps kAvx2Ops = {
     ExpRowSumAvx2,
     ExpRowAvx2,
     DivRowAvx2,
-    scalar::Dot,       // serial chain in every backend (see kernels.h)
-    scalar::DotSum2,   // serial chain in every backend
     AxpyRowAvx2,
     Axpy4RowAvx2,
     AddRowAvx2,
@@ -383,7 +369,6 @@ const KernelOps kAvx2Ops = {
     LeakyReluBwdRowAvx2,
     SoftmaxBwdRowAvx2,
     LogSoftmaxBwdRowAvx2,
-    AxpyDivRowAvx2,
     AdamRowAvx2,
 };
 

@@ -11,8 +11,6 @@ const KernelOps kScalarOps = {
     scalar::ExpRowSum,
     scalar::ExpRow,
     scalar::DivRow,
-    scalar::Dot,
-    scalar::DotSum2,
     scalar::AxpyRow,
     scalar::Axpy4Row,
     scalar::AddRow,
@@ -29,7 +27,6 @@ const KernelOps kScalarOps = {
     scalar::LeakyReluBwdRow,
     scalar::SoftmaxBwdRow,
     scalar::LogSoftmaxBwdRow,
-    scalar::AxpyDivRow,
     scalar::AdamRow,
 };
 

@@ -23,12 +23,6 @@ struct KernelOps {
   Scalar (*exp_row_sum)(const Scalar* x, Scalar m, Scalar* dst, int n);
   void (*exp_row)(const Scalar* x, Scalar m, Scalar* dst, int n);
   void (*div_row)(Scalar* x, Scalar z, int n);
-  // dot/dot_sum2 are the serial ascending chain in EVERY backend: the
-  // single-accumulator chain is add-latency-bound, so lanes cannot help
-  // without changing the association the MatMul/TGAE pins rely on.
-  Scalar (*dot)(const Scalar* a, const Scalar* b, int n);
-  Scalar (*dot_sum2)(const Scalar* a, const Scalar* b1, const Scalar* b2,
-                     int n);
   void (*axpy_row)(Scalar a, const Scalar* b, Scalar* o, int n);
   void (*axpy4_row)(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
                     Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
@@ -52,8 +46,6 @@ struct KernelOps {
                           Scalar* gi, int n);
   void (*logsoftmax_bwd_row)(const Scalar* go, const Scalar* p, Scalar gsum,
                              Scalar* gi, int n);
-  void (*axpy_div_row)(Scalar a, const Scalar* e, Scalar z, Scalar* gi,
-                       int n);
   void (*adam_row)(Scalar* x, Scalar* m, Scalar* v, const Scalar* g,
                    Scalar beta1, Scalar one_minus_beta1, Scalar beta2,
                    Scalar one_minus_beta2, Scalar bias1, Scalar bias2,
@@ -67,8 +59,8 @@ extern std::atomic<const KernelOps*> g_ops;
 const KernelOps* ResolveOps();
 }  // namespace detail
 
-/// The active dispatch table. First call resolves the backend (env check +
-/// CPUID); later calls are a single atomic load.
+/// The active dispatch table. First call resolves the backend (CPUID);
+/// later calls are a single atomic load.
 inline const KernelOps& Ops() {
   const KernelOps* ops = detail::g_ops.load(std::memory_order_acquire);
   if (ops == nullptr) ops = detail::ResolveOps();

@@ -223,12 +223,4 @@ int64_t ModelCache::resident_bytes() const {
   return resident_bytes_;
 }
 
-std::vector<std::string> ModelCache::ModelNames() const {
-  parallel::MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(slots_.size());
-  for (const Slot& slot : slots_) names.push_back(slot.spec.name);
-  return names;
-}
-
 }  // namespace tgsim::serve

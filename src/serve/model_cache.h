@@ -101,9 +101,6 @@ class ModelCache {
 
   int64_t byte_budget() const { return byte_budget_; }
 
-  /// Configured model names in configuration order.
-  std::vector<std::string> ModelNames() const;
-
  private:
   struct Slot {
     ModelSpec spec;

@@ -13,14 +13,6 @@ std::string ScoreBlockName(int t) {
   return name;
 }
 
-ScoreStore ScoreStore::FromResident(std::vector<SparseScoreRows> snapshots) {
-  ScoreStore store;
-  store.block_backed_ = false;
-  store.num_timestamps_ = static_cast<int>(snapshots.size());
-  store.resident_ = std::move(snapshots);
-  return store;
-}
-
 ScoreStore ScoreStore::FromBlockFile(BlockFileReader reader,
                                      int num_timestamps) {
   ScoreStore store;

@@ -32,10 +32,6 @@ class ScoreStore {
  public:
   ScoreStore() = default;
 
-  /// Takes ownership of fitted snapshots (index = timestamp; empty
-  /// entries mean "no scores for this t").
-  static ScoreStore FromResident(std::vector<SparseScoreRows> snapshots);
-
   /// Wraps an already-parsed BlockFile holding blocks named by
   /// ScoreBlockName. Structural validation of each present block happens
   /// in CheckSnapshot (callers run it per snapshot right after this).

@@ -364,6 +364,48 @@ TEST(ArtifactErrorTest, LoadTruncatedArtifactIsAnErrorNotACrash) {
   std::filesystem::remove(path);
 }
 
+/// `text` with the value of its `which`-th `i64 num_nodes` line (of every
+/// such line when `which` is negative) replaced by INT_MAX.
+std::string WithHugeNodeCount(std::string text, int which) {
+  const std::string key = "\ni64 num_nodes ";
+  int seen = 0;
+  for (size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1), ++seen) {
+    if (which >= 0 && seen != which) continue;
+    const size_t value = at + key.size();
+    text.replace(value, text.find('\n', value) - value, "2147483647");
+  }
+  return text;
+}
+
+TEST(ArtifactErrorTest, NodeCountItsEdgesDoNotJustifyIsInvalidArgument) {
+  // Regression: an artifact whose shape, or support graph, claims 2^31 - 1
+  // nodes made `generate --model` abort on std::bad_alloc while sizing
+  // per-node state. Artifacts now get the edge-list loader's shape bound.
+  for (const std::string method : {"TagGen", "TGAE", "TIGGER", "E-R"}) {
+    auto gen = std::move(MakeGenerator(method, FastPreset())).value();
+    FittedState(method, *gen);
+    const std::string path = ArtifactPath("huge_nodes_" + method);
+    ASSERT_TRUE(SaveArtifact(*gen, method, FastPreset(), path).ok());
+    std::stringstream saved;
+    saved << std::ifstream(path).rdbuf();
+    // Every node count at once, then the support graph's alone (TagGen
+    // and TGAE), which the shape section's bound never sees.
+    for (int which : {-1, 1}) {
+      SCOPED_TRACE(method + " edit " + std::to_string(which));
+      const std::string edited = WithHugeNodeCount(saved.str(), which);
+      if (which >= 0 && edited == saved.str()) continue;  // No support.
+      ASSERT_NE(edited, saved.str());
+      std::ofstream(path, std::ios::trunc) << edited;
+      Status s = LoadArtifact(path).status();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+      EXPECT_NE(s.message().find("edges justify"), std::string::npos)
+          << s.ToString();
+    }
+    std::filesystem::remove(path);
+  }
+}
+
 /// Fits a score-matrix method whose fast-preset state is large enough to
 /// ride as a trailing BlockFile, saves it, and returns the path.
 std::string SaveBlockBackedArtifact(const std::string& tag) {

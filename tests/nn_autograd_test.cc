@@ -159,11 +159,6 @@ std::vector<OpCase> AllOpCases() {
                      return Sum(Square(ConcatCols({p[0], p[1]})));
                    },
                    {{3, 2}, {3, 4}}});
-  cases.push_back({"concat_rows",
-                   [](const std::vector<Var>& p) {
-                     return Sum(Square(ConcatRows({p[0], p[1]})));
-                   },
-                   {{2, 3}, {4, 3}}});
   cases.push_back({"gather_rows",
                    [](const std::vector<Var>& p) {
                      return Sum(Square(GatherRows(p[0], {2, 0, 2, 1})));
@@ -180,20 +175,6 @@ std::vector<OpCase> AllOpCases() {
                      return Sum(Square(GatherCols(p[0], {3, 0, 3, 1})));
                    },
                    {{3, 4}}});
-  cases.push_back({"sampled_softmax_cross_entropy",
-                   [](const std::vector<Var>& p) {
-                     SparseRowTargets t;
-                     t.AppendEntry(1, 0.7);
-                     t.AppendEntry(3, 0.3);
-                     t.FinishRow();
-                     t.FinishRow();  // Empty row: zero contribution.
-                     t.AppendEntry(0, 0.5);
-                     t.AppendEntry(4, 0.25);
-                     t.AppendEntry(2, 0.25);
-                     t.FinishRow();
-                     return SampledSoftmaxCrossEntropy(p[0], t);
-                   },
-                   {{3, 5}}});
   cases.push_back({"segment_sum",
                    [](const std::vector<Var>& p) {
                      return Sum(Square(SegmentSum(p[0], {0, 1, 0, 2}, 3)));
@@ -345,42 +326,6 @@ TEST(OpDeathTest, GatherColsRejectsOutOfRangeIndex) {
   Tensor x(2, 4);
   EXPECT_DEATH(GatherCols(Var::Constant(x), {0, 4}), "CHECK failed");
   EXPECT_DEATH(GatherCols(Var::Constant(x), {-1}), "CHECK failed");
-}
-
-TEST(OpValueTest, SampledSoftmaxOverAllColumnsMatchesRowCrossEntropy) {
-  // With the candidate set equal to all columns, the sampled-softmax loss
-  // is exactly the dense row cross entropy on the scattered targets.
-  Rng rng = MakeRng();
-  Tensor logits = Tensor::Randn(rng, 3, 4, 1.3);
-  SparseRowTargets sparse;
-  sparse.AppendEntry(1, 1.0);
-  sparse.FinishRow();
-  sparse.AppendEntry(0, 0.5);
-  sparse.AppendEntry(3, 0.5);
-  sparse.FinishRow();
-  sparse.FinishRow();  // Empty row.
-  Tensor dense(3, 4);
-  dense.at(0, 1) = 1.0;
-  dense.at(1, 0) = 0.5;
-  dense.at(1, 3) = 0.5;
-  Var a = SampledSoftmaxCrossEntropy(Var::Constant(logits), sparse);
-  Var b = RowCrossEntropyWithLogits(Var::Constant(logits), dense);
-  EXPECT_NEAR(a.item(), b.item(), 1e-12);
-}
-
-TEST(OpDeathTest, SampledSoftmaxRejectsShapeMismatch) {
-  Tensor logits(2, 3);
-  SparseRowTargets t;
-  t.AppendEntry(0, 1.0);
-  t.FinishRow();  // Only one row for two logit rows.
-  EXPECT_DEATH(SampledSoftmaxCrossEntropy(Var::Constant(logits), t),
-               "CHECK failed");
-  SparseRowTargets bad_col;
-  bad_col.AppendEntry(3, 1.0);  // Column out of range.
-  bad_col.FinishRow();
-  bad_col.FinishRow();
-  EXPECT_DEATH(SampledSoftmaxCrossEntropy(Var::Constant(logits), bad_col),
-               "CHECK failed");
 }
 
 bool SameBits(const Tensor& a, const Tensor& b) {

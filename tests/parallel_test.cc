@@ -385,9 +385,9 @@ TEST(DeterminismSweepTest, MotifCensusCapMatchesSerialPrefix) {
 
 TEST(DeterminismSweepTest, TgaeFitAndGenerateAreThreadCountInvariant) {
   // End-to-end sweep over TGAE in both training configurations: the
-  // sampled-softmax loss of preset=fast (GatherCols +
-  // SampledSoftmaxCrossEntropy) and the dense n-wide loss of preset=paper
-  // (MatMul + RowCrossEntropyWithLogits). Training and the support-column
+  // candidate-set loss of preset=fast (GatherCols decode) and the dense
+  // n-wide loss of preset=paper (Affine decode), both scored by
+  // RowCrossEntropyWithLogits. Training and the support-column
   // generation must produce bit-identical losses and edge lists at any
   // thread count, per the parallel contract.
   graphs::TemporalGraph observed = datasets::MakeMimicByName("DBLP", 0.04, 4);

@@ -175,6 +175,31 @@ TEST(TgaeTest, SparseDecoderTrainsAndGenerates) {
   EXPECT_EQ(out.EdgesPerTimestamp(), observed.EdgesPerTimestamp());
 }
 
+TEST(TgaeTest, CandidateLossOverEveryColumnEqualsDenseLoss) {
+  // With 64 shared negatives per node the candidate set holds every column,
+  // so the sparse decoder scores the dense logits in another column order
+  // and its first-epoch loss must equal the dense one. This pins that each
+  // target is remapped to its own node's candidate slot.
+  graphs::TemporalGraph observed = Observed();
+  for (bool tied : {true, false}) {
+    SCOPED_TRACE(tied ? "tie_decoder=true" : "tie_decoder=false");
+    TgaeConfig cfg = FastConfig();
+    cfg.epochs = 1;
+    cfg.tie_decoder = tied;
+    TgaeGenerator dense(cfg);
+    Rng rd(23);
+    dense.Fit(observed, rd);
+    cfg.sparse_decoder = true;
+    cfg.negative_samples = 64 * observed.num_nodes();
+    TgaeGenerator sparse(cfg);
+    Rng rs(23);
+    sparse.Fit(observed, rs);
+    const double want = dense.last_epoch_loss();
+    ASSERT_TRUE(std::isfinite(want));
+    EXPECT_NEAR(sparse.last_epoch_loss(), want, 1e-12 * std::abs(want));
+  }
+}
+
 TEST(TgaeTest, SparseAndDenseGenerationDrawIdenticalEdges) {
   // sparse_decoder chooses the training loss only: generation scores each
   // row's support columns the same way on every preset (kernels::Dot rows
