@@ -180,6 +180,15 @@ Status ReadShape(const serialize::ArchiveReader& reader,
   return Status::Ok();
 }
 
+Status CheckEmbeddingTables(const serialize::ArchiveReader& reader,
+                            const ObservedShape& shape, int dim) {
+  Status s = serialize::CheckParamShape(reader, "params", 0, shape.num_nodes,
+                                        dim);
+  if (!s.ok()) return s;
+  return serialize::CheckParamShape(reader, "params", 1,
+                                    shape.num_timestamps, dim);
+}
+
 void WriteSupportGraph(serialize::ArchiveWriter& writer,
                        const std::string& section,
                        const graphs::TemporalGraph& graph) {

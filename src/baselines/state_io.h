@@ -61,6 +61,14 @@ void WriteShape(serialize::ArchiveWriter& writer, const ObservedShape& shape);
 Status ReadShape(const serialize::ArchiveReader& reader,
                  ObservedShape& shape);
 
+/// Checks that parameters 0 and 1 of the section "params", a model's node
+/// and time embedding tables, are num_nodes x dim and num_timestamps x dim.
+/// TGAE and TagGen call it after ReadShape and before building a model
+/// sized by that shape, so an edited shape fails before those tables are
+/// allocated.
+Status CheckEmbeddingTables(const serialize::ArchiveReader& reader,
+                            const ObservedShape& shape, int dim);
+
 /// Writes a finalized temporal graph as the archive section `section`
 /// (parallel u/v/t edge vectors plus the node/timestamp counts).
 void WriteSupportGraph(serialize::ArchiveWriter& writer,

@@ -284,6 +284,8 @@ Status TagGenGenerator::LoadState(std::istream& in) {
   ObservedShape shape;
   Status s = ReadShape(reader, shape);
   if (!s.ok()) return s;
+  s = CheckEmbeddingTables(reader, shape, config_.embedding_dim);
+  if (!s.ok()) return s;
   Result<graphs::TemporalGraph> support = ReadSupportGraph(reader, "support");
   if (!support.ok()) return support.status();
 

@@ -492,6 +492,8 @@ Status TgaeGenerator::LoadState(std::istream& in) {
   baselines::ObservedShape shape;
   Status s = baselines::ReadShape(reader, shape);
   if (!s.ok()) return s;
+  s = baselines::CheckEmbeddingTables(reader, shape, config_.embedding_dim);
+  if (!s.ok()) return s;
   Result<graphs::TemporalGraph> support =
       baselines::ReadSupportGraph(reader, "support");
   if (!support.ok()) return support.status();

@@ -49,9 +49,33 @@ class SegmentIndex {
   std::vector<int> items_;
 };
 
-/// Grain for loops over segments; segments are cheap individually, so pack
-/// many per chunk.
-constexpr int64_t kSegmentGrain = 256;
+/// Runs fn(s0, s1) over consecutive segment ranges [s0, s1) that each hold
+/// about kElementwiseGrain member scalars (`width` per member), so a small
+/// segment op runs inline as one range. The ranges depend only on the
+/// segment sizes, never on the thread count, and each segment (and so
+/// each output row it owns) belongs to exactly one range.
+template <typename Fn>
+void ForSegmentChunks(const SegmentIndex& index, int width, Fn&& fn) {
+  const int num_segments = index.num_segments();
+  std::vector<int> bounds{0};
+  int64_t scalars = 0;
+  for (int s = 0; s < num_segments; ++s) {
+    scalars += (index.end(s) - index.begin(s)) * int64_t{width};
+    if (scalars >= kElementwiseGrain && s + 1 < num_segments) {
+      bounds.push_back(s + 1);
+      scalars = 0;
+    }
+  }
+  bounds.push_back(num_segments);
+  parallel::ParallelFor(
+      0, static_cast<int64_t>(bounds.size()) - 1, 1,
+      [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          const auto i = static_cast<size_t>(c);
+          fn(bounds[i], bounds[i + 1]);
+        }
+      });
+}
 
 }  // namespace
 
@@ -619,16 +643,15 @@ Var SegmentSum(const Var& a, std::vector<int> seg, int num_segments) {
   // so the sums are bit-identical for any thread count.
   SegmentIndex index(seg, num_segments);
   Tensor out(num_segments, a.cols());
-  parallel::ParallelFor(
-      0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
-        for (int64_t s = s0; s < s1; ++s) {
-          Scalar* dst = out.row(static_cast<int>(s));
-          for (const int* it = index.begin(static_cast<int>(s));
-               it != index.end(static_cast<int>(s)); ++it)
-            for (int c = 0; c < a.cols(); ++c)
-              dst[c] += a.value().at(*it, c);
-        }
-      });
+  ForSegmentChunks(index, a.cols(), [&](int64_t s0, int64_t s1) {
+    for (int64_t s = s0; s < s1; ++s) {
+      Scalar* dst = out.row(static_cast<int>(s));
+      for (const int* it = index.begin(static_cast<int>(s));
+           it != index.end(static_cast<int>(s)); ++it)
+        for (int c = 0; c < a.cols(); ++c)
+          dst[c] += a.value().at(*it, c);
+    }
+  });
   return MakeOp(std::move(out), {a},
                 [seg = std::move(seg)](Node& self) {
                   auto& pa = self.parents[0];
@@ -659,27 +682,26 @@ Var SegmentSoftmax(const Var& scores, std::vector<int> seg,
   // max/sum order matches the serial sweep bit for bit.
   auto index = std::make_shared<SegmentIndex>(seg, num_segments);
   Tensor out(n, 1);
-  parallel::ParallelFor(
-      0, num_segments, kSegmentGrain, [&](int64_t s0, int64_t s1) {
-        // Gather each segment's entries into a contiguous scratch row so
-        // the shared SoftmaxRow kernel (and its SIMD variants) can run on
-        // it, then scatter the probabilities back. Member order is
-        // ascending entry index, same as the old in-place sweep.
-        std::vector<Scalar> vals, probs;
-        for (int64_t s = s0; s < s1; ++s) {
-          const int si = static_cast<int>(s);
-          const int* members = index->begin(si);
-          const int count = static_cast<int>(index->end(si) - members);
-          if (count == 0) continue;  // RowMax needs n >= 1
-          vals.resize(static_cast<size_t>(count));
-          probs.resize(static_cast<size_t>(count));
-          for (int i = 0; i < count; ++i)
-            vals[static_cast<size_t>(i)] = x.at(members[i], 0);
-          kernels::SoftmaxRow(vals.data(), probs.data(), count);
-          for (int i = 0; i < count; ++i)
-            out.at(members[i], 0) = probs[static_cast<size_t>(i)];
-        }
-      });
+  ForSegmentChunks(*index, 1, [&](int64_t s0, int64_t s1) {
+    // Gather each segment's entries into a contiguous scratch row so
+    // the shared SoftmaxRow kernel (and its SIMD variants) can run on
+    // it, then scatter the probabilities back. Member order is
+    // ascending entry index, same as the old in-place sweep.
+    std::vector<Scalar> vals, probs;
+    for (int64_t s = s0; s < s1; ++s) {
+      const int si = static_cast<int>(s);
+      const int* members = index->begin(si);
+      const int count = static_cast<int>(index->end(si) - members);
+      if (count == 0) continue;  // RowMax needs n >= 1
+      vals.resize(static_cast<size_t>(count));
+      probs.resize(static_cast<size_t>(count));
+      for (int i = 0; i < count; ++i)
+        vals[static_cast<size_t>(i)] = x.at(members[i], 0);
+      kernels::SoftmaxRow(vals.data(), probs.data(), count);
+      for (int i = 0; i < count; ++i)
+        out.at(members[i], 0) = probs[static_cast<size_t>(i)];
+    }
+  });
   return MakeOp(
       std::move(out), {scores},
       [index = std::move(index)](Node& self) {
@@ -689,32 +711,28 @@ Var SegmentSoftmax(const Var& scores, std::vector<int> seg,
         // Per segment: dx_i = y_i * (g_i - sum_j g_j y_j). Gather the
         // segment's go/y/gi into scratch rows, run the shared Dot +
         // SoftmaxBwdRow kernels, scatter the updated gi back.
-        parallel::ParallelFor(
-            0, index->num_segments(), kSegmentGrain,
-            [&](int64_t s0, int64_t s1) {
-              std::vector<Scalar> go_s, y_s, gi_s;
-              for (int64_t s = s0; s < s1; ++s) {
-                const int si = static_cast<int>(s);
-                const int* members = index->begin(si);
-                const int count =
-                    static_cast<int>(index->end(si) - members);
-                if (count == 0) continue;
-                go_s.resize(static_cast<size_t>(count));
-                y_s.resize(static_cast<size_t>(count));
-                gi_s.resize(static_cast<size_t>(count));
-                for (int i = 0; i < count; ++i) {
-                  go_s[static_cast<size_t>(i)] = self.grad.at(members[i], 0);
-                  y_s[static_cast<size_t>(i)] = self.value.at(members[i], 0);
-                  gi_s[static_cast<size_t>(i)] = pa->grad.at(members[i], 0);
-                }
-                const Scalar dot =
-                    kernels::Dot(go_s.data(), y_s.data(), count);
-                kernels::SoftmaxBwdRow(go_s.data(), y_s.data(), dot,
-                                       gi_s.data(), count);
-                for (int i = 0; i < count; ++i)
-                  pa->grad.at(members[i], 0) = gi_s[static_cast<size_t>(i)];
-              }
-            });
+        ForSegmentChunks(*index, 1, [&](int64_t s0, int64_t s1) {
+          std::vector<Scalar> go_s, y_s, gi_s;
+          for (int64_t s = s0; s < s1; ++s) {
+            const int si = static_cast<int>(s);
+            const int* members = index->begin(si);
+            const int count = static_cast<int>(index->end(si) - members);
+            if (count == 0) continue;
+            go_s.resize(static_cast<size_t>(count));
+            y_s.resize(static_cast<size_t>(count));
+            gi_s.resize(static_cast<size_t>(count));
+            for (int i = 0; i < count; ++i) {
+              go_s[static_cast<size_t>(i)] = self.grad.at(members[i], 0);
+              y_s[static_cast<size_t>(i)] = self.value.at(members[i], 0);
+              gi_s[static_cast<size_t>(i)] = pa->grad.at(members[i], 0);
+            }
+            const Scalar dot = kernels::Dot(go_s.data(), y_s.data(), count);
+            kernels::SoftmaxBwdRow(go_s.data(), y_s.data(), dot,
+                                   gi_s.data(), count);
+            for (int i = 0; i < count; ++i)
+              pa->grad.at(members[i], 0) = gi_s[static_cast<size_t>(i)];
+          }
+        });
       });
 }
 

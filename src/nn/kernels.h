@@ -1,6 +1,7 @@
 #ifndef TGSIM_NN_KERNELS_H_
 #define TGSIM_NN_KERNELS_H_
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -198,23 +199,49 @@ inline Scalar DotSum2(const Scalar* TGSIM_RESTRICT a,
   return s;
 }
 
-/// o[j] += a * b[j]: one rank-1 row update of the ikj MatMul kernel.
+/// o[j] += a * b[j]: one rank-1 row update (the MatMulPanel reference step).
 inline void AxpyRow(Scalar a, const Scalar* TGSIM_RESTRICT b,
                     Scalar* TGSIM_RESTRICT o, int n) {
   for (int j = 0; j < n; ++j) o[j] += a * b[j];
 }
 
-/// Four fused rank-1 row updates:
-///   o[j] = (((o[j] + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j].
-/// C++ `+` is left-associative, so per output element this is exactly the
-/// chain four sequential AxpyRow passes would produce.
-inline void Axpy4Row(Scalar a0, const Scalar* TGSIM_RESTRICT b0, Scalar a1,
-                     const Scalar* TGSIM_RESTRICT b1, Scalar a2,
-                     const Scalar* TGSIM_RESTRICT b2, Scalar a3,
-                     const Scalar* TGSIM_RESTRICT b3,
-                     Scalar* TGSIM_RESTRICT o, int n) {
-  for (int j = 0; j < n; ++j)
-    o[j] = o[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+/// c[r][j] = sum over ascending p < k of a[r][p] * b[p][j], for r < rows
+/// and j < n: the MatMul panel kernel over row-major operands with leading
+/// dimensions lda, ldb and ldc. Overwrites c. Each output element is one
+/// left-associated chain from +0.0 in ascending p, so k == 0 writes +0.0
+/// and an all-signed-zero row still sums to +0.0. The reference is the ikj
+/// AxpyRow loop, blocked over 64-deep slices of k so a slice of b stays in
+/// L2 across the panel's rows: a slice resumes each chain from the value c
+/// holds. SIMD variants tile across output rows and columns (independent
+/// outputs) and keep that chain per element; storing a partial chain in c
+/// and reloading it between k-blocks is exact.
+inline void MatMulPanel(const Scalar* TGSIM_RESTRICT a, int64_t lda,
+                        const Scalar* TGSIM_RESTRICT b, int64_t ldb,
+                        Scalar* TGSIM_RESTRICT c, int64_t ldc, int rows,
+                        int k, int n) {
+  constexpr int kKBlock = 64;
+  for (int r = 0; r < rows; ++r)
+    for (int j = 0; j < n; ++j) c[r * ldc + j] = 0.0;
+  for (int p0 = 0; p0 < k; p0 += kKBlock) {
+    const int p1 = std::min(k, p0 + kKBlock);
+    for (int r = 0; r < rows; ++r) {
+      const Scalar* ar = a + r * lda;
+      Scalar* cr = c + r * ldc;
+      int p = p0;
+      // Four k per pass over the row. C++ `+` is left-associative, so each
+      // element gets exactly the chain of four AxpyRow passes.
+      for (; p + 3 < p1; p += 4) {
+        const Scalar* b0 = b + p * ldb;
+        const Scalar* b1 = b0 + ldb;
+        const Scalar* b2 = b1 + ldb;
+        const Scalar* b3 = b2 + ldb;
+        for (int j = 0; j < n; ++j)
+          cr[j] = cr[j] + ar[p] * b0[j] + ar[p + 1] * b1[j] +
+                  ar[p + 2] * b2[j] + ar[p + 3] * b3[j];
+      }
+      for (; p < p1; ++p) AxpyRow(ar[p], b + p * ldb, cr, n);
+    }
+  }
 }
 
 /// dst[i] += x[i].
@@ -382,10 +409,10 @@ inline void AxpyRow(Scalar a, const Scalar* b, Scalar* o, int n) {
   Ops().axpy_row(a, b, o, n);
 }
 
-inline void Axpy4Row(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                     Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                     Scalar* o, int n) {
-  Ops().axpy4_row(a0, b0, a1, b1, a2, b2, a3, b3, o, n);
+inline void MatMulPanel(const Scalar* a, int64_t lda, const Scalar* b,
+                        int64_t ldb, Scalar* c, int64_t ldc, int rows, int k,
+                        int n) {
+  Ops().matmul_panel(a, lda, b, ldb, c, ldc, rows, k, n);
 }
 
 inline void AddRow(Scalar* dst, const Scalar* x, int n) {

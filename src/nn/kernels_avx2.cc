@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "nn/kernels.h"
 #include "nn/simd.h"
 
@@ -122,24 +124,116 @@ void AxpyRowAvx2(Scalar a, const Scalar* b, Scalar* o, int n) {
   for (; i < n; ++i) o[i] += a * b[i];
 }
 
-void Axpy4RowAvx2(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                  Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                  Scalar* o, int n) {
-  const __m256d a0v = _mm256_set1_pd(a0);
-  const __m256d a1v = _mm256_set1_pd(a1);
-  const __m256d a2v = _mm256_set1_pd(a2);
-  const __m256d a3v = _mm256_set1_pd(a3);
-  int i = 0;
-  for (; i + 3 < n; i += 4) {
-    __m256d acc = _mm256_loadu_pd(o + i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a0v, _mm256_loadu_pd(b0 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a1v, _mm256_loadu_pd(b1 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a2v, _mm256_loadu_pd(b2 + i)));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(a3v, _mm256_loadu_pd(b3 + i)));
-    _mm256_storeu_pd(o + i, acc);
+// Depth of one k-block of MatMulPanelAvx2: a packed kPanelKBlock x 8 block
+// of b (16 KiB) stays in L1 while every row tile of the panel streams over
+// it.
+constexpr int kPanelKBlock = 256;
+
+// MatMulPanel, register-tiled. For each k-block of kPanelKBlock rows of b
+// and each 8-column (then 4-column) strip of it, the strip is packed into
+// a contiguous stack buffer, and every row tile of the panel keeps its
+// R x 4V output tile in R * V ymm accumulators across the whole block.
+// The first block starts every chain at +0.0; a later block reloads the
+// partial chain its predecessor stored in c (a store and reload is exact),
+// so per element the adds run in ascending p exactly as in the reference.
+// Multiply, then add: never a fused multiply-add.
+//
+// The fixed R and V loops are unrolled explicitly so the accumulators stay
+// in registers at -O2 too.
+template <int R, int V>
+void PanelTile(const Scalar* a, int64_t lda, const Scalar* pack, int kc,
+               Scalar* c, int64_t ldc, bool first) {
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      acc[i][v] = first ? _mm256_setzero_pd()
+                        : _mm256_loadu_pd(c + i * ldc + 4 * v);
+  for (int p = 0; p < kc; ++p) {
+    __m256d bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      bv[v] = _mm256_load_pd(pack + (4 * V) * p + 4 * v);
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) {
+      const __m256d x = _mm256_broadcast_sd(a + i * lda + p);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        acc[i][v] = _mm256_add_pd(acc[i][v], _mm256_mul_pd(x, bv[v]));
+    }
   }
-  for (; i < n; ++i)
-    o[i] = o[i] + a0 * b0[i] + a1 * b1[i] + a2 * b2[i] + a3 * b3[i];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      _mm256_storeu_pd(c + i * ldc + 4 * v, acc[i][v]);
+}
+
+// One output column (n % 4 leftovers; the whole product when n == 1), R
+// rows in flight as independent scalar chains.
+template <int R>
+void PanelColumn(const Scalar* a, int64_t lda, const Scalar* pack, int kc,
+                 Scalar* c, int64_t ldc, bool first) {
+  Scalar acc[R];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) acc[i] = first ? 0.0 : c[i * ldc];
+  for (int p = 0; p < kc; ++p)
+#pragma GCC unroll 4
+    for (int i = 0; i < R; ++i) acc[i] = acc[i] + a[i * lda + p] * pack[p];
+#pragma GCC unroll 4
+  for (int i = 0; i < R; ++i) c[i * ldc] = acc[i];
+}
+
+// Packs columns [j, j + 4V) of kc rows of b, then runs 4-row tiles and a
+// 1-row tail over the panel's rows.
+template <int V>
+void PanelStrip(const Scalar* a, int64_t lda, const Scalar* b, int64_t ldb,
+                Scalar* c, int64_t ldc, int rows, int kc, bool first,
+                Scalar* pack) {
+  for (int p = 0; p < kc; ++p)
+    for (int v = 0; v < V; ++v)
+      _mm256_store_pd(pack + (4 * V) * p + 4 * v,
+                      _mm256_loadu_pd(b + p * ldb + 4 * v));
+  int r = 0;
+  for (; r + 4 <= rows; r += 4)
+    PanelTile<4, V>(a + r * lda, lda, pack, kc, c + r * ldc, ldc, first);
+  for (; r < rows; ++r)
+    PanelTile<1, V>(a + r * lda, lda, pack, kc, c + r * ldc, ldc, first);
+}
+
+void MatMulPanelAvx2(const Scalar* a, int64_t lda, const Scalar* b,
+                     int64_t ldb, Scalar* c, int64_t ldc, int rows, int k,
+                     int n) {
+  if (k == 0) {
+    for (int r = 0; r < rows; ++r)
+      for (int j = 0; j < n; ++j) c[r * ldc + j] = 0.0;
+    return;
+  }
+  alignas(32) Scalar pack[kPanelKBlock * 8];
+  for (int p0 = 0; p0 < k; p0 += kPanelKBlock) {
+    const int kc = std::min(kPanelKBlock, k - p0);
+    const bool first = p0 == 0;
+    const Scalar* ab = a + p0;
+    const Scalar* bb = b + p0 * ldb;
+    int j = 0;
+    for (; j + 8 <= n; j += 8)
+      PanelStrip<2>(ab, lda, bb + j, ldb, c + j, ldc, rows, kc, first, pack);
+    if (j + 4 <= n) {
+      PanelStrip<1>(ab, lda, bb + j, ldb, c + j, ldc, rows, kc, first, pack);
+      j += 4;
+    }
+    for (; j < n; ++j) {
+      for (int p = 0; p < kc; ++p) pack[p] = bb[p * ldb + j];
+      int r = 0;
+      for (; r + 4 <= rows; r += 4)
+        PanelColumn<4>(ab + r * lda, lda, pack, kc, c + r * ldc + j, ldc,
+                       first);
+      for (; r < rows; ++r)
+        PanelColumn<1>(ab + r * lda, lda, pack, kc, c + r * ldc + j, ldc,
+                       first);
+    }
+  }
 }
 
 void AddRowAvx2(Scalar* dst, const Scalar* x, int n) {
@@ -354,7 +448,7 @@ const KernelOps kAvx2Ops = {
     ExpRowAvx2,
     DivRowAvx2,
     AxpyRowAvx2,
-    Axpy4RowAvx2,
+    MatMulPanelAvx2,
     AddRowAvx2,
     ScaleRowAvx2,
     MulRowAvx2,

@@ -12,7 +12,7 @@ const KernelOps kScalarOps = {
     scalar::ExpRow,
     scalar::DivRow,
     scalar::AxpyRow,
-    scalar::Axpy4Row,
+    scalar::MatMulPanel,
     scalar::AddRow,
     scalar::ScaleRow,
     scalar::MulRow,

@@ -2,6 +2,7 @@
 #define TGSIM_NN_SIMD_H_
 
 #include <atomic>
+#include <cstdint>
 
 #include "nn/tensor.h"
 
@@ -24,9 +25,9 @@ struct KernelOps {
   void (*exp_row)(const Scalar* x, Scalar m, Scalar* dst, int n);
   void (*div_row)(Scalar* x, Scalar z, int n);
   void (*axpy_row)(Scalar a, const Scalar* b, Scalar* o, int n);
-  void (*axpy4_row)(Scalar a0, const Scalar* b0, Scalar a1, const Scalar* b1,
-                    Scalar a2, const Scalar* b2, Scalar a3, const Scalar* b3,
-                    Scalar* o, int n);
+  void (*matmul_panel)(const Scalar* a, int64_t lda, const Scalar* b,
+                       int64_t ldb, Scalar* c, int64_t ldc, int rows, int k,
+                       int n);
   void (*add_row)(Scalar* dst, const Scalar* x, int n);
   void (*scale_row)(Scalar* x, Scalar s, int n);
   void (*mul_row)(Scalar* dst, const Scalar* x, int n);

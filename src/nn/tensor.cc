@@ -16,12 +16,15 @@ namespace {
 using parallel::kElementwiseGrain;
 using parallel::RowGrain;
 
-/// Rows per MatMul task, sized so one task stays around L2 while leaving
+/// Rows per MatMul task at least: one task stays around L2 while leaving
 /// enough tasks to fill the pool on paper-sized (512-1024) operands.
-constexpr int kMatMulRowPanel = 32;
+constexpr int64_t kMatMulRowPanel = 32;
 
-/// Cache block over the shared dimension of MatMul.
-constexpr int kMatMulKBlock = 64;
+/// Multiply-adds per MatMul task at least, so a product with fewer in
+/// total runs inline as one panel. Below this, handing panels to the pool
+/// costs more CPU than it saves wall time: the TGAT products of a TGAE
+/// generate (about 214 x 32 times 32 x 32) are that small.
+constexpr int64_t kMinPanelWork = int64_t{1} << 18;
 
 }  // namespace
 
@@ -203,35 +206,23 @@ Tensor Tensor::operator*(Scalar s) const {
 
 Tensor Tensor::MatMul(const Tensor& other) const {
   TGSIM_CHECK_EQ(cols_, other.rows_);
-  Tensor out(rows_, other.cols_);
+  // Not zero-filled: the panels below write every element.
+  Tensor out;
+  out.Allocate(rows_, other.cols_);
   const int n = other.cols_;
-  // Cache-blocked ikj kernel parallelized over row panels. Each output row
-  // is owned by exactly one panel, and within a row the k accumulation
-  // order is ascending regardless of blocking — so the result is
-  // bit-identical for any thread count (and to the unblocked serial loop).
-  // The inner k loop is unrolled by 4 through kernels::Axpy4Row, which
-  // fuses four rank-1 row updates into one pass over the output row; its
-  // per-element chain is left-associated in ascending k, so the unroll
-  // changes memory traffic, not results.
-  parallel::ParallelFor(
-      0, rows_, kMatMulRowPanel, [&](int64_t i0, int64_t i1) {
-        for (int k0 = 0; k0 < cols_; k0 += kMatMulKBlock) {
-          const int k1 = std::min(cols_, k0 + kMatMulKBlock);
-          for (int64_t i = i0; i < i1; ++i) {
-            const Scalar* a_row = row(static_cast<int>(i));
-            Scalar* o_row = out.row(static_cast<int>(i));
-            int k = k0;
-            for (; k + 3 < k1; k += 4) {
-              kernels::Axpy4Row(a_row[k], other.row(k), a_row[k + 1],
-                                other.row(k + 1), a_row[k + 2],
-                                other.row(k + 2), a_row[k + 3],
-                                other.row(k + 3), o_row, n);
-            }
-            for (; k < k1; ++k)
-              kernels::AxpyRow(a_row[k], other.row(k), o_row, n);
-          }
-        }
-      });
+  // Row panels of at least kMatMulRowPanel rows and kMinPanelWork
+  // multiply-adds, each computed by the register-tiled panel kernel. Each
+  // output row is owned by exactly one panel, the panel size depends only
+  // on the shapes, and every output element is one ascending-k chain from
+  // +0.0 — so the result is bit-identical for any thread count, on any
+  // backend, and to the unblocked serial loop.
+  const int64_t row_work = std::max<int64_t>(1, int64_t{cols_} * n);
+  const int64_t panel = std::max(kMatMulRowPanel, kMinPanelWork / row_work);
+  parallel::ParallelFor(0, rows_, panel, [&](int64_t i0, int64_t i1) {
+    const int r0 = static_cast<int>(i0);
+    kernels::MatMulPanel(row(r0), cols_, other.data_, n, out.row(r0), n,
+                         static_cast<int>(i1 - i0), cols_, n);
+  });
   return out;
 }
 

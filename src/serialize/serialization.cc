@@ -346,20 +346,29 @@ Result<nn::Tensor> ArchiveReader::GetTensor(const std::string& section,
 Status ArchiveReader::ReadTensorInto(const std::string& section,
                                      const std::string& name,
                                      nn::Tensor& dst) const {
+  Status s = CheckTensorShape(section, name, dst.rows(), dst.cols());
+  if (!s.ok()) return s;
+  const Field* f = Find(section, name);
+  for (int64_t i = 0; i < dst.size(); ++i)
+    dst.data()[i] = f->dv[static_cast<size_t>(i)];
+  return Status::Ok();
+}
+
+Status ArchiveReader::CheckTensorShape(const std::string& section,
+                                       const std::string& name, int rows,
+                                       int cols) const {
   const Field* f = Find(section, name);
   if (f == nullptr) return Missing(section, name);
   if (f->kind != FieldKind::kTensor)
     return Status::InvalidArgument("field '" + section + "." + name +
                                    "' is not a tensor");
-  if (f->tensor_rows != dst.rows() || f->tensor_cols != dst.cols())
+  if (f->tensor_rows != rows || f->tensor_cols != cols)
     return Status::InvalidArgument(
         "tensor '" + section + "." + name + "' is " +
         std::to_string(f->tensor_rows) + "x" +
         std::to_string(f->tensor_cols) + " but the model expects " +
-        std::to_string(dst.rows()) + "x" + std::to_string(dst.cols()) +
+        std::to_string(rows) + "x" + std::to_string(cols) +
         " — was the model built with the same configuration?");
-  for (int64_t i = 0; i < dst.size(); ++i)
-    dst.data()[i] = f->dv[static_cast<size_t>(i)];
   return Status::Ok();
 }
 
@@ -367,6 +376,11 @@ void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params) {
   writer.WriteInt("count", static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i)
     writer.WriteTensor(ParamFieldName(i), params[i].value());
+}
+
+Status CheckParamShape(const ArchiveReader& reader, const std::string& section,
+                       size_t index, int rows, int cols) {
+  return reader.CheckTensorShape(section, ParamFieldName(index), rows, cols);
 }
 
 Status ReadParamsInto(const ArchiveReader& reader,

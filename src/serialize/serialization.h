@@ -120,6 +120,11 @@ class ArchiveReader {
   Status ReadTensorInto(const std::string& section, const std::string& name,
                         nn::Tensor& dst) const;
 
+  /// ReadTensorInto's shape guard alone, against rows x cols: checks a
+  /// stored tensor without copying it or allocating its destination.
+  Status CheckTensorShape(const std::string& section, const std::string& name,
+                          int rows, int cols) const;
+
  private:
   enum class FieldKind { kInt, kDouble, kString, kIntVector, kDoubleVector,
                          kTensor };
@@ -146,6 +151,13 @@ class ArchiveReader {
 /// Writes a parameter set as consecutive tensor fields (`count`, `p0`,
 /// `p1`, ...) of the archive's current section. Pair with ReadParamsInto.
 void WriteParams(ArchiveWriter& writer, const std::vector<nn::Var>& params);
+
+/// Checks that tensor `index` of a WriteParams section is rows x cols. A
+/// loader calls it before building a model whose tables are sized by the
+/// artifact's own shape fields, so an edited shape is rejected without
+/// allocating those tables.
+Status CheckParamShape(const ArchiveReader& reader, const std::string& section,
+                       size_t index, int rows, int cols);
 
 /// Loads tensors written by WriteParams into an existing parameter set.
 /// The parameter count and every shape must match (the model must have

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/memory_tracker.h"
 #include "config/param_map.h"
 #include "datasets/synthetic.h"
 #include "eval/registry.h"
@@ -365,15 +366,17 @@ TEST(ArtifactErrorTest, LoadTruncatedArtifactIsAnErrorNotACrash) {
 }
 
 /// `text` with the value of its `which`-th `i64 num_nodes` line (of every
-/// such line when `which` is negative) replaced by INT_MAX.
-std::string WithHugeNodeCount(std::string text, int which) {
+/// such line when `which` is negative) replaced by `count` (INT_MAX by
+/// default).
+std::string WithHugeNodeCount(std::string text, int which,
+                              const std::string& count = "2147483647") {
   const std::string key = "\ni64 num_nodes ";
   int seen = 0;
   for (size_t at = text.find(key); at != std::string::npos;
        at = text.find(key, at + 1), ++seen) {
     if (which >= 0 && seen != which) continue;
     const size_t value = at + key.size();
-    text.replace(value, text.find('\n', value) - value, "2147483647");
+    text.replace(value, text.find('\n', value) - value, count);
   }
   return text;
 }
@@ -401,6 +404,20 @@ TEST(ArtifactErrorTest, NodeCountItsEdgesDoNotJustifyIsInvalidArgument) {
       EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
       EXPECT_NE(s.message().find("edges justify"), std::string::npos)
           << s.ToString();
+    }
+    if (method == "TagGen" || method == "TGAE") {
+      // 2^21 nodes pass that bound, but the stored node table still has
+      // the fitted row count: the load must fail on it before it builds
+      // (and tracks) a 2^21-row table, 512 MiB at 32 columns.
+      SCOPED_TRACE(method + " edit to 2^21");
+      std::ofstream(path, std::ios::trunc)
+          << WithHugeNodeCount(saved.str(), -1, "2097152");
+      MemoryTracker& tracker = MemoryTracker::Global();
+      tracker.ResetPeak();
+      const int64_t before = tracker.CurrentBytes();
+      Status s = LoadArtifact(path).status();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+      EXPECT_LT(tracker.PeakBytes() - before, int64_t{16} << 20);
     }
     std::filesystem::remove(path);
   }

@@ -136,13 +136,24 @@ TEST(KernelBitIdentityTest, ElementwiseKernels) {
     d.axpy_row(1.5, x.data(), ad.data(), n);
     EXPECT_TRUE(BitsEqual(as, ad, "AxpyRow", n));
 
-    const std::vector<Scalar> b2 = MakeBuffer(n, 1001), b3 = MakeBuffer(n, 1002);
-    as = base, ad = base;
-    s->axpy4_row(1.5, x.data(), -0.75, y.data(), 2.0, b2.data(), 0.125,
-                 b3.data(), as.data(), n);
-    d.axpy4_row(1.5, x.data(), -0.75, y.data(), 2.0, b2.data(), 0.125,
-                b3.data(), ad.data(), n);
-    EXPECT_TRUE(BitsEqual(as, ad, "Axpy4Row", n));
+    // A 5 x n times n x 13 panel over padded strides: a 4-row tile and a
+    // 1-row tail against an 8-column tile, the 4-column strip and a scalar
+    // column. The padding columns of c must keep their 7.0.
+    {
+      constexpr int kRows = 5, kCols = 13, kLd = 16;
+      const int lda = n + 3;
+      const std::vector<Scalar> pa =
+          MakeBuffer(kRows * lda, static_cast<uint64_t>(n) + 7);
+      const std::vector<Scalar> pb =
+          MakeBuffer(n * kLd, static_cast<uint64_t>(n) + 11);
+      std::vector<Scalar> cs(kRows * kLd, 7.0), cd(kRows * kLd, 7.0);
+      s->matmul_panel(pa.data(), lda, pb.data(), kLd, cs.data(), kLd, kRows,
+                      n, kCols);
+      d.matmul_panel(pa.data(), lda, pb.data(), kLd, cd.data(), kLd, kRows, n,
+                     kCols);
+      EXPECT_TRUE(BitsEqual(cs, cd, "MatMulPanel", n));
+      EXPECT_EQ(cs[kCols], 7.0);
+    }
 
     as = base, ad = base;
     s->add_row(as.data(), x.data(), n);
@@ -254,43 +265,52 @@ TEST(KernelBitIdentityTest, AdamRow) {
 // column on the untied one, and must draw exactly what the dense MatMul
 // decode would. Pin that association: MatMul(A, B)(r, v) ==
 // Dot(A.row(r), B^T.row(v)) == DotStrided(A.row(r), column v of B), bit for
-// bit, on the scalar and the active backend. The depths cross the Axpy4Row
-// tail and the 64-wide MatMul k-block; the rows carry signed zeros and
-// denormals.
+// bit, on the scalar and the active backend. Rows 1-9 cover 4-row tiles
+// and 1-row tails; columns {1, 3, 4, 7, 8, 9, 13, 33} cover 8-column tiles,
+// the 4-column strip and scalar columns; depths {0, 1, 255, 256, 257, 513}
+// cross the 256-deep k-block, across which a partial chain is stored and
+// reloaded. The operands carry signed zeros, denormals and +/-1e150.
 TEST(KernelBitIdentityTest, MatMulColumnIsDotAndStridedDot) {
-  constexpr int kRows = 3;
-  constexpr int kCols = 9;  // Two 4-wide AVX2 column groups plus a tail.
   for (Backend backend : {Backend::kScalar, ActiveBackend()}) {
     const Backend prev = SetBackendForTest(backend);
-    for (int dim : {1, 3, 4, 5, 31, 32, 33, 64, 65, 130}) {
-      Tensor a(kRows, dim);
-      Tensor b(dim, kCols);
-      for (int r = 0; r < 2; ++r) {
-        const std::vector<Scalar> row =
-            MakeBuffer(dim, static_cast<uint64_t>(dim + r));
-        std::copy(row.begin(), row.end(), a.row(r));
-      }
-      // Row 2: -0.0 and denormals only, so every product is a signed zero
-      // or a denormal and the chain's +0.0 start decides the sign.
-      for (int k = 0; k < dim; ++k)
-        a.at(2, k) = (k % 2 == 0) ? -0.0 : 5e-324;
-      const std::vector<Scalar> bvals =
-          MakeBuffer(dim * kCols, static_cast<uint64_t>(dim) + 101);
-      std::copy(bvals.begin(), bvals.end(), b.data());
+    for (int dim : {0, 1, 255, 256, 257, 513}) {
+      for (int rows = 1; rows <= 9; ++rows) {
+        for (int cols : {1, 3, 4, 7, 8, 9, 13, 33}) {
+          Tensor a(rows, dim);
+          Tensor b(dim, cols);
+          for (int r = 0; r < rows; ++r) {
+            const std::vector<Scalar> row =
+                MakeBuffer(dim, static_cast<uint64_t>(dim + 13 * r));
+            std::copy(row.begin(), row.end(), a.row(r));
+          }
+          // Row 2: -0.0 and denormals only, so every product is a signed
+          // zero or a denormal and the chain's +0.0 start decides the sign.
+          if (rows > 2)
+            for (int k = 0; k < dim; ++k)
+              a.at(2, k) = (k % 2 == 0) ? -0.0 : 5e-324;
+          const std::vector<Scalar> bvals = MakeBuffer(
+              dim * cols, static_cast<uint64_t>(dim + cols) + 101);
+          std::copy(bvals.begin(), bvals.end(), b.data());
 
-      const Tensor product = a.MatMul(b);
-      const Tensor bt = b.Transpose();
-
-      for (int r = 0; r < kRows; ++r) {
-        for (int v = 0; v < kCols; ++v) {
-          const Scalar want = product.at(r, v);
-          EXPECT_TRUE(ScalarBitsEqual(
-              want, Dot(a.row(r), bt.row(v), dim), "MatMul vs Dot", dim))
-              << BackendName(backend) << " r=" << r << " v=" << v;
-          EXPECT_TRUE(ScalarBitsEqual(
-              want, DotStrided(a.row(r), b.data() + v, kCols, dim),
-              "MatMul vs DotStrided", dim))
-              << BackendName(backend) << " r=" << r << " v=" << v;
+          const Tensor product = a.MatMul(b);
+          const Tensor bt = b.Transpose();
+          std::vector<Scalar> got, dot, strided;
+          for (int r = 0; r < rows; ++r) {
+            for (int v = 0; v < cols; ++v) {
+              got.push_back(product.at(r, v));
+              // An empty chain is +0.0 (b.data() is null at depth 0).
+              dot.push_back(dim == 0 ? 0.0 : Dot(a.row(r), bt.row(v), dim));
+              strided.push_back(
+                  dim == 0 ? 0.0
+                           : DotStrided(a.row(r), b.data() + v, cols, dim));
+            }
+          }
+          EXPECT_TRUE(BitsEqual(dot, got, "MatMul vs Dot", dim))
+              << BackendName(backend) << " " << rows << "x" << dim << "x"
+              << cols;
+          EXPECT_TRUE(BitsEqual(strided, got, "MatMul vs DotStrided", dim))
+              << BackendName(backend) << " " << rows << "x" << dim << "x"
+              << cols;
         }
       }
     }

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/tgae.h"
@@ -22,6 +23,7 @@
 #include "metrics/degree_mmd.h"
 #include "metrics/motifs.h"
 #include "nn/autograd.h"
+#include "nn/simd.h"
 #include "nn/tensor.h"
 #include "parallel/parallel_for.h"
 #include "parallel/task_queue.h"
@@ -520,9 +522,11 @@ TEST(RunCellsTest, InvalidCellFailsWholeBatchUpFront) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense MatMul equivalence (satellite of the kernel rewrite): the blocked
-// parallel kernel must match a naive triple-loop reference, including on
-// inputs dense with exact zeros (the old kernel special-cased a == 0).
+// Dense MatMul equivalence: the tiled parallel kernel must match a naive
+// triple-loop reference bit for bit, on the scalar and the active kernel
+// backend at 1, 2 and 8 threads, including on inputs dense with exact
+// zeros (an old kernel special-cased a == 0) and on signed zeros,
+// denormals and +/-1e150.
 // ---------------------------------------------------------------------------
 
 nn::Tensor ReferenceMatMul(const nn::Tensor& a, const nn::Tensor& b) {
@@ -536,26 +540,48 @@ nn::Tensor ReferenceMatMul(const nn::Tensor& a, const nn::Tensor& b) {
   return out;
 }
 
+/// Gaussian entries with every third slot a signed zero, a denormal or
+/// +/-1e150 (small enough that no product or sum overflows).
+nn::Tensor RandnWithSpecials(Rng& rng, int rows, int cols) {
+  constexpr nn::Scalar kSpecials[] = {0.0,  -0.0,   5e-324,
+                                      -5e-324, 1e150, -1e150};
+  nn::Tensor t = nn::Tensor::Randn(rng, rows, cols);
+  for (int64_t i = 0; i < t.size(); i += 3)
+    t.data()[i] = kSpecials[(i / 3) % 6];
+  return t;
+}
+
 TEST(BlockedMatMulTest, MatchesReferenceOnDenseAndSparseInputs) {
   GlobalThreadsGuard guard;
   Rng rng(21);
-  for (auto [m, k, n] : std::vector<std::tuple<int, int, int>>{
-           {1, 1, 1}, {3, 7, 5}, {65, 33, 129}, {130, 70, 95}}) {
-    nn::Tensor a = nn::Tensor::Randn(rng, m, k);
-    nn::Tensor b = nn::Tensor::Randn(rng, k, n);
+  std::vector<std::tuple<int, int, int>> shapes = {
+      {1, 1, 1}, {3, 7, 5}, {65, 33, 129}, {130, 70, 95},
+      // Under the per-panel work threshold, so one inline panel of 100
+      // rows; over it, so several panels (32 and 56 rows) deep enough to
+      // cross the 256-deep k-block.
+      {100, 32, 33}, {200, 257, 33}, {130, 513, 9}};
+  for (int rows = 1; rows <= 9; ++rows)
+    for (int k : {0, 1, 255, 256, 257, 513})
+      for (int n : {1, 3, 4, 7, 8, 9, 13, 33}) shapes.emplace_back(rows, k, n);
+  for (auto [m, k, n] : shapes) {
+    nn::Tensor a = RandnWithSpecials(rng, m, k);
+    nn::Tensor b = RandnWithSpecials(rng, k, n);
     // Pepper both operands with exact zeros.
-    for (int64_t i = 0; i < a.size(); i += 3) a.data()[i] = 0.0;
-    for (int64_t i = 0; i < b.size(); i += 4) b.data()[i] = 0.0;
-    nn::Tensor expected = ReferenceMatMul(a, b);
-    for (int threads : {1, 8}) {
-      parallel::ThreadPool::SetGlobalThreads(threads);
-      nn::Tensor got = a.MatMul(b);
-      ASSERT_EQ(got.rows(), expected.rows());
-      ASSERT_EQ(got.cols(), expected.cols());
-      for (int i = 0; i < got.rows(); ++i)
-        for (int j = 0; j < got.cols(); ++j)
-          EXPECT_NEAR(got.at(i, j), expected.at(i, j), 1e-12)
-              << m << "x" << k << "x" << n << " @ " << threads << " threads";
+    for (int64_t i = 1; i < a.size(); i += 4) a.data()[i] = 0.0;
+    for (int64_t i = 1; i < b.size(); i += 5) b.data()[i] = 0.0;
+    const nn::Tensor expected = ReferenceMatMul(a, b);
+    for (nn::kernels::Backend backend :
+         {nn::kernels::Backend::kScalar, nn::kernels::ActiveBackend()}) {
+      const nn::kernels::Backend prev =
+          nn::kernels::SetBackendForTest(backend);
+      for (int threads : {1, 2, 8}) {
+        parallel::ThreadPool::SetGlobalThreads(threads);
+        EXPECT_TRUE(BitIdentical(a.MatMul(b), expected))
+            << m << "x" << k << "x" << n << " on "
+            << nn::kernels::BackendName(backend) << " @ " << threads
+            << " threads";
+      }
+      nn::kernels::SetBackendForTest(prev);
     }
   }
 }
