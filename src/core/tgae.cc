@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <span>
 #include <utility>
 
 #include "baselines/state_io.h"
@@ -265,12 +265,12 @@ nn::SparseRowTargets TgaeGenerator::TargetRows(
     // Directed adjacency row A_{u^t} (Eq. 6); temporal nodes that only
     // appear as destinations fall back to their full temporal neighborhood
     // so every decoded row receives signal.
-    std::vector<graphs::TemporalNeighbor> nbrs = support_->OutNeighborhood(
-        row_nodes[i].node, row_nodes[i].t, /*time_window=*/0);
+    const graphs::TemporalNodeRef r = row_nodes[i];
+    std::span<const graphs::TemporalNeighbor> nbrs = graphs::WithinTimeWindow(
+        support_->OutNeighbors(r.node), r.t, /*time_window=*/0);
     if (nbrs.empty()) {
-      nbrs = support_->TemporalNeighborhood(row_nodes[i].node,
-                                            row_nodes[i].t,
-                                            /*time_window=*/0);
+      nbrs = graphs::WithinTimeWindow(support_->Neighbors(r.node), r.t,
+                                      /*time_window=*/0);
     }
     if (!nbrs.empty()) {
       double w = 1.0 / static_cast<double>(nbrs.size());
@@ -513,21 +513,40 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
   const int n = shape_.num_nodes;
   graphs::TemporalGraph out(n, shape_.num_timestamps);
 
+  // The call's workspace: every timestamp, chunk and row refills these in
+  // place. They live on this call's stack, so concurrent generates of one
+  // instance share nothing. The node-indexed arrays are reset as they are
+  // read (`count`), after each row (`support_pos`), or after each row
+  // that set them (`taken`), so they stay all-zero / -1 / false between
+  // uses.
+  std::vector<int> count(static_cast<size_t>(n), 0);
+  std::vector<graphs::TemporalNodeRef> occ;
+  std::vector<int> budget;
+  std::vector<graphs::EgoGraph> egos;
+  graphs::EgoSamplerScratch ego_scratch;
+  std::vector<int> support_pos(static_cast<size_t>(n), -1);
+  std::vector<graphs::NodeId> support;
+  std::vector<bool> is_exact;
+  std::vector<nn::Scalar> sup_logits;
+  std::vector<double> weights;
+  sampling::TreeSampler tree;
+  sampling::TreeSampler replay;
+  std::vector<bool> taken(static_cast<size_t>(n), false);
+
   for (int t = 0; t < shape_.num_timestamps; ++t) {
     // Active temporal nodes at t with their observed out-edge budgets
     // (generation stops exactly at the observed edge amount, Section IV-G).
-    std::vector<graphs::TemporalNodeRef> occ;
-    std::vector<int> budget;
-    {
-      auto span = support_->EdgesAt(static_cast<graphs::Timestamp>(t));
-      std::vector<int> count(static_cast<size_t>(n), 0);
-      for (const auto& e : span) ++count[static_cast<size_t>(e.u)];
-      for (int u = 0; u < n; ++u) {
-        if (count[static_cast<size_t>(u)] > 0) {
-          occ.push_back({static_cast<graphs::NodeId>(u),
-                         static_cast<graphs::Timestamp>(t)});
-          budget.push_back(count[static_cast<size_t>(u)]);
-        }
+    occ.clear();
+    budget.clear();
+    for (const auto& e : support_->EdgesAt(static_cast<graphs::Timestamp>(t)))
+      ++count[static_cast<size_t>(e.u)];
+    for (int u = 0; u < n; ++u) {
+      int& c = count[static_cast<size_t>(u)];
+      if (c > 0) {
+        occ.push_back({static_cast<graphs::NodeId>(u),
+                       static_cast<graphs::Timestamp>(t)});
+        budget.push_back(c);
+        c = 0;
       }
     }
     // Chunked encoding bounds the ego graphs and decoder rows held at once.
@@ -535,42 +554,9 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
          base += static_cast<size_t>(config_.generation_chunk)) {
       size_t end = std::min(
           occ.size(), base + static_cast<size_t>(config_.generation_chunk));
-      std::vector<graphs::EgoGraph> egos;
+      egos.resize(end - base);
       for (size_t i = base; i < end; ++i)
-        egos.push_back(ego_sampler_->Sample(occ[i], rng));
-
-      // Support sets first (pure observed-graph lookups, no rng): paper
-      // Section IV-G normalizes the categorical over the temporal
-      // neighborhood N(u^t) — scores outside the neighborhood support are
-      // not eligible. The support is directed (the row's budget is the
-      // observed out-degree). Neighbors from the surrounding window ring
-      // carry a fixed temporal-proximity discount: the decoder's output
-      // classes are per-node (that is TGAE's O(n^2 T) advantage over
-      // TagGen's O(n^2 T^2) state space), so within-window time preference
-      // cannot be learned and is supplied as a prior (DESIGN.md §2).
-      const size_t chunk_rows = end - base;
-      std::vector<std::vector<graphs::NodeId>> supports(chunk_rows);
-      std::vector<std::vector<bool>> exacts(chunk_rows);
-      for (size_t i = base; i < end; ++i) {
-        const graphs::NodeId u = occ[i].node;
-        std::vector<graphs::NodeId>& support = supports[i - base];
-        std::vector<bool>& is_exact = exacts[i - base];
-        std::vector<graphs::TemporalNeighbor> nbrs =
-            support_->OutNeighborhood(u, occ[i].t,
-                                       config_.generation_time_window);
-        std::unordered_set<graphs::NodeId> seen;
-        for (const auto& nb : nbrs) {
-          if (nb.node == u) continue;
-          auto [it, inserted] = seen.insert(nb.node);
-          if (inserted) {
-            support.push_back(nb.node);
-            is_exact.push_back(nb.t == occ[i].t);
-          } else if (nb.t == occ[i].t) {
-            for (size_t c = 0; c < support.size(); ++c)
-              if (support[c] == nb.node) is_exact[c] = true;
-          }
-        }
-      }
+        ego_sampler_->SampleInto(occ[i], rng, ego_scratch, egos[i - base]);
 
       DecodedBatch batch = Encode(egos, /*centers_only=*/true,
                                   /*stochastic=*/false, rng);
@@ -579,15 +565,42 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
       for (size_t i = base; i < end; ++i) {
         const int row = static_cast<int>(i - base);
         const graphs::NodeId u = occ[i].node;
-        const std::vector<graphs::NodeId>& support = supports[i - base];
-        const std::vector<bool>& is_exact = exacts[i - base];
+
+        // Support set (pure observed-graph lookups, no rng): paper Section
+        // IV-G normalizes the categorical over the temporal neighborhood
+        // N(u^t) — scores outside the neighborhood support are not
+        // eligible. The support is directed (the row's budget is the
+        // observed out-degree), each node once, in first-seen order, exact
+        // when any of its occurrences is at t. Neighbors from the
+        // surrounding window ring carry a fixed temporal-proximity
+        // discount: the decoder's output classes are per-node (that is
+        // TGAE's O(n^2 T) advantage over TagGen's O(n^2 T^2) state space),
+        // so within-window time preference cannot be learned and is
+        // supplied as a prior (DESIGN.md §2).
+        support.clear();
+        is_exact.clear();
+        for (const auto& nb : graphs::WithinTimeWindow(
+                 support_->OutNeighbors(u), occ[i].t,
+                 config_.generation_time_window)) {
+          if (nb.node == u) continue;
+          int& p = support_pos[static_cast<size_t>(nb.node)];
+          if (p < 0) {
+            p = static_cast<int>(support.size());
+            support.push_back(nb.node);
+            is_exact.push_back(nb.t == occ[i].t);
+          } else if (nb.t == occ[i].t) {
+            is_exact[static_cast<size_t>(p)] = true;
+          }
+        }
+        for (graphs::NodeId v : support)
+          support_pos[static_cast<size_t>(v)] = -1;
 
         // Only the support columns are scored, O(|support| d) per row. Each
         // logit is one ascending-k chain plus the bias, the exact value of
         // the dense decode's MatMul column, so the draws are those of the
         // n-wide decode on every preset.
         const nn::Scalar* h = rows.row(row);
-        std::vector<nn::Scalar> sup_logits(support.size());
+        sup_logits.resize(support.size());
         for (size_t c = 0; c < support.size(); ++c)
           sup_logits[c] = DecoderLogit(h, support[c]);
 
@@ -595,18 +608,16 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
         // stabilized exp over the support logits times the ring prior. (A
         // full-row softmax restricted to the support renormalizes to the
         // same distribution; this skips the n-wide pass.)
-        auto support_weights = [&]() {
-          std::vector<double> w(support.size());
-          if (!support.empty()) {
-            const int count = static_cast<int>(support.size());
-            const nn::Scalar m = nn::kernels::RowMax(sup_logits.data(),
-                                                     count);
-            nn::kernels::ExpRow(sup_logits.data(), m, w.data(), count);
-            for (size_t c = 0; c < support.size(); ++c)
-              if (!is_exact[c]) w[c] *= config_.generation_ring_weight;
-          }
-          return w;
-        };
+        weights.resize(support.size());
+        if (!support.empty()) {
+          const int sup_count = static_cast<int>(support.size());
+          const nn::Scalar m =
+              nn::kernels::RowMax(sup_logits.data(), sup_count);
+          nn::kernels::ExpRow(sup_logits.data(), m, weights.data(), sup_count);
+          for (size_t c = 0; c < support.size(); ++c)
+            if (!is_exact[c]) weights[c] *= config_.generation_ring_weight;
+        }
+
         // Full-row probabilities, needed only by the empty-support
         // fallback: the n-wide row is built on demand (O(n d) for the rare
         // row instead of every row).
@@ -624,23 +635,20 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
 
         // Categorical sampling without replacement (paper Section IV-G);
         // budgets beyond the support fall back to the full score row.
-        std::vector<double> weights = support_weights();
         int wanted = std::min(budget[i], n - 1);
         int from_support =
             std::min(wanted, static_cast<int>(support.size()));
-        std::vector<bool> taken(static_cast<size_t>(n), false);
-        taken[static_cast<size_t>(u)] = true;
         // Sum-tree draws: O(log s) per draw + consume, replacing the old
         // O(s) WeightedChoice scan followed by an O(s) all-zero rescan on
         // every draw. Internal sums are exact child sums, so total()
         // reaches exactly 0.0 once every entry is consumed — the loop
-        // needs no epsilon and no rescan.
-        sampling::TreeSampler tree(weights);
+        // needs no epsilon and no rescan. A drawn support node is zeroed
+        // in the tree, so no destination repeats.
+        tree.Assign(weights);
         for (int d = 0; d < from_support; ++d) {
           size_t pick = tree.Draw(rng);
           graphs::NodeId v = support[pick];
           out.AddEdge(u, v, static_cast<graphs::Timestamp>(t));
-          taken[static_cast<size_t>(v)] = true;
           tree.Update(pick, 0.0);
           if (!(tree.total() > 0.0)) {
             from_support = d + 1;
@@ -654,7 +662,7 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
           // with replacement, reproducing duplicate temporal edges; only
           // an empty support falls back to the full score row.
           if (!support.empty()) {
-            const sampling::TreeSampler replay(support_weights());
+            replay.Assign(weights);
             for (int d = from_support; d < wanted; ++d) {
               graphs::NodeId v = support[replay.Draw(rng)];
               out.AddEdge(u, v, static_cast<graphs::Timestamp>(t));
@@ -662,6 +670,9 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
           } else {
             std::vector<nn::Scalar> probs = full_row_probs();
             std::vector<double> full(static_cast<size_t>(n));
+            // Only this branch reads `taken`: with an empty support, u is
+            // the one node marked before the first draw.
+            taken[static_cast<size_t>(u)] = true;
             // Running remaining-mass counter: subtracting each consumed
             // entry replaces the old O(n) re-sum before every draw.
             double remaining = 0.0;
@@ -691,6 +702,7 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
               remaining -= full[static_cast<size_t>(v)];
               full[static_cast<size_t>(v)] = 0.0;
             }
+            std::fill(taken.begin(), taken.end(), false);
           }
         }
       }

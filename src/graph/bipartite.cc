@@ -1,18 +1,12 @@
 #include "graph/bipartite.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 
+#include "graph/temporal_node_index.h"
+
 namespace tgsim::graphs {
-
-namespace {
-
-int64_t KeyOf(TemporalNodeRef r) {
-  return static_cast<int64_t>(r.node) * 4000037 + r.t;
-}
-
-}  // namespace
 
 BipartiteStack BuildBipartiteStack(const std::vector<EgoGraph>& egos,
                                    int radius) {
@@ -21,59 +15,67 @@ BipartiteStack BuildBipartiteStack(const std::vector<EgoGraph>& egos,
   stack.layer_nodes.resize(static_cast<size_t>(radius) + 1);
   stack.layers.resize(static_cast<size_t>(radius));
 
-  // Index maps per layer: temporal node -> position in layer_nodes[l].
-  std::vector<std::unordered_map<int64_t, int>> layer_index(
-      static_cast<size_t>(radius) + 1);
+  // Each ego node's position in the layer of its own depth, at
+  // pos[ego_base[e] + i]; -1 for nodes deeper than the radius.
+  std::vector<size_t> ego_base(egos.size() + 1, 0);
+  for (size_t e = 0; e < egos.size(); ++e)
+    ego_base[e + 1] = ego_base[e] + egos[e].nodes.size();
+  std::vector<int> pos(ego_base.back(), -1);
 
+  // One index, refilled per layer: temporal node -> position in
+  // layer_nodes[l]. No layer holds more nodes than the egos do, so
+  // reserving for all of them keeps it from ever rehashing.
+  TemporalNodeIndex index;
+  index.Reserve(ego_base.back());
   auto intern = [&](int layer, TemporalNodeRef node) -> int {
-    auto& idx = layer_index[static_cast<size_t>(layer)];
-    auto [it, inserted] = idx.try_emplace(
-        KeyOf(node), static_cast<int>(stack.layer_nodes[layer].size()));
-    if (inserted) stack.layer_nodes[layer].push_back(node);
-    return it->second;
+    auto& nodes = stack.layer_nodes[static_cast<size_t>(layer)];
+    auto [at, inserted] = index.Insert(node, static_cast<int>(nodes.size()));
+    if (inserted) nodes.push_back(node);
+    return at;
   };
 
-  // Pass 1: S_0 = centers.
+  // S_0 = centers.
   stack.center_index.reserve(egos.size());
-  for (const EgoGraph& ego : egos)
-    stack.center_index.push_back(intern(0, ego.center));
+  for (size_t e = 0; e < egos.size(); ++e) {
+    TGSIM_CHECK(egos[e].size() > 0 && egos[e].nodes[0] == egos[e].center);
+    stack.center_index.push_back(intern(0, egos[e].center));
+    pos[ego_base[e]] = stack.center_index.back();
+  }
 
-  // Pass 2: layer l must contain every node of layer l-1 (self message
-  // path), plus all hop-l nodes of every ego-graph.
+  // Layer l must contain every node of layer l-1 (self message path), plus
+  // all hop-l nodes of every ego-graph. S_l starts as a copy of S_{l-1}, so
+  // node i of S_{l-1} is node i of S_l.
+  stack.copy_in_next.resize(static_cast<size_t>(radius));
   for (int l = 1; l <= radius; ++l) {
-    for (const TemporalNodeRef& node : stack.layer_nodes[l - 1])
-      intern(l, node);
-    for (const EgoGraph& ego : egos) {
+    index.Clear();
+    const auto& prev = stack.layer_nodes[static_cast<size_t>(l) - 1];
+    for (const TemporalNodeRef& node : prev) intern(l, node);
+    auto& copies = stack.copy_in_next[static_cast<size_t>(l) - 1];
+    copies.resize(prev.size());
+    std::iota(copies.begin(), copies.end(), 0);
+    for (size_t e = 0; e < egos.size(); ++e) {
+      const EgoGraph& ego = egos[e];
       for (int i = 0; i < ego.size(); ++i) {
         if (ego.depth[static_cast<size_t>(i)] == l)
-          intern(l, ego.nodes[static_cast<size_t>(i)]);
+          pos[ego_base[e] + static_cast<size_t>(i)] =
+              intern(l, ego.nodes[static_cast<size_t>(i)]);
       }
     }
   }
 
-  // Record where each layer-l node lives inside layer l+1.
-  stack.copy_in_next.resize(static_cast<size_t>(radius));
-  for (int l = 0; l < radius; ++l) {
-    auto& copies = stack.copy_in_next[static_cast<size_t>(l)];
-    copies.reserve(stack.layer_nodes[l].size());
-    for (const TemporalNodeRef& node : stack.layer_nodes[l])
-      copies.push_back(layer_index[static_cast<size_t>(l) + 1].at(KeyOf(node)));
-  }
-
-  // Pass 3: edges. An ego edge (parent at depth d, child at depth d+1)
-  // becomes a message edge child(S_{d+1}) -> parent(S_d) in layers[d].
-  // Self-loops connect each S_d node from its S_{d+1} copy.
+  // Edges. Self-loops connect each S_d node from its S_{d+1} copy. An ego
+  // edge (parent at depth d, child at depth d+1) becomes a message edge
+  // child(S_{d+1}) -> parent(S_d) in layers[d].
   std::vector<std::vector<std::pair<int, int>>> edges(
       static_cast<size_t>(radius));
   for (int l = 0; l < radius; ++l) {
-    for (const TemporalNodeRef& node : stack.layer_nodes[l]) {
-      auto src_it = layer_index[static_cast<size_t>(l) + 1].find(KeyOf(node));
-      TGSIM_CHECK(src_it != layer_index[static_cast<size_t>(l) + 1].end());
-      int dst = layer_index[static_cast<size_t>(l)].at(KeyOf(node));
-      edges[static_cast<size_t>(l)].emplace_back(src_it->second, dst);
-    }
+    const auto& copies = stack.copy_in_next[static_cast<size_t>(l)];
+    auto& e = edges[static_cast<size_t>(l)];
+    for (size_t i = 0; i < copies.size(); ++i)
+      e.emplace_back(copies[i], static_cast<int>(i));
   }
-  for (const EgoGraph& ego : egos) {
+  for (size_t e = 0; e < egos.size(); ++e) {
+    const EgoGraph& ego = egos[e];
     for (auto [pi, ci] : ego.edges) {
       int d = ego.depth[static_cast<size_t>(pi)];
       // Ego-graphs may contain non-layered edges (a sampled neighbor that
@@ -82,16 +84,10 @@ BipartiteStack BuildBipartiteStack(const std::vector<EgoGraph>& egos,
       // self-loop paths keep everything else reachable.
       if (ego.depth[static_cast<size_t>(ci)] != d + 1) continue;
       if (d >= radius) continue;
-      auto& src_map = layer_index[static_cast<size_t>(d) + 1];
-      auto& dst_map = layer_index[static_cast<size_t>(d)];
-      auto src_it = src_map.find(KeyOf(ego.nodes[static_cast<size_t>(ci)]));
-      auto dst_it = dst_map.find(KeyOf(ego.nodes[static_cast<size_t>(pi)]));
-      // Parents at depth d>0 were interned into every deeper layer too, but
-      // the (src,dst) pair for the message at layer d always exists.
-      TGSIM_CHECK(src_it != src_map.end());
-      TGSIM_CHECK(dst_it != dst_map.end());
-      edges[static_cast<size_t>(d)].emplace_back(src_it->second,
-                                                 dst_it->second);
+      const int src = pos[ego_base[e] + static_cast<size_t>(ci)];
+      const int dst = pos[ego_base[e] + static_cast<size_t>(pi)];
+      TGSIM_CHECK(src >= 0 && dst >= 0);
+      edges[static_cast<size_t>(d)].emplace_back(src, dst);
     }
   }
 

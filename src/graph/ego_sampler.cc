@@ -1,77 +1,75 @@
 #include "graph/ego_sampler.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace tgsim::graphs {
 
-std::vector<TemporalNeighbor> EgoGraphSampler::SampleNeighbors(
-    const std::vector<TemporalNeighbor>& all, Rng& rng) const {
-  int th = config_.neighbor_threshold;
-  if (th <= 0 || static_cast<int>(all.size()) <= th) return all;
-  // Algorithm 1, NodeSampling: `th` draws with replacement, dedup'd via
-  // set-insertion — intentionally allowed to return fewer than th nodes.
-  std::unordered_set<int64_t> seen;
-  std::vector<TemporalNeighbor> out;
-  out.reserve(static_cast<size_t>(th));
+std::span<const TemporalNeighbor> EgoGraphSampler::SampleNeighbors(
+    std::span<const TemporalNeighbor> window, Rng& rng,
+    std::vector<TemporalNeighbor>& picks) const {
+  const int th = config_.neighbor_threshold;
+  if (th <= 0 || static_cast<int>(window.size()) <= th) return window;
+  // Algorithm 1, NodeSampling: `th` draws with replacement — intentionally
+  // allowed to name fewer than th distinct nodes.
+  picks.clear();
   for (int i = 0; i < th; ++i) {
-    const TemporalNeighbor& pick =
-        all[static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(all.size())))];
-    int64_t key = static_cast<int64_t>(pick.node) * 1000003 + pick.t;
-    if (seen.insert(key).second) out.push_back(pick);
+    picks.push_back(window[static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(window.size())))]);
   }
-  return out;
+  return picks;
 }
 
-EgoGraph EgoGraphSampler::Sample(TemporalNodeRef center, Rng& rng) const {
-  EgoGraph ego;
+void EgoGraphSampler::SampleInto(TemporalNodeRef center, Rng& rng,
+                                 EgoSamplerScratch& scratch,
+                                 EgoGraph& ego) const {
   ego.center = center;
-  ego.nodes.push_back(center);
-  ego.depth.push_back(0);
+  ego.nodes.assign(1, center);
+  ego.depth.assign(1, 0);
+  ego.edges.clear();
 
-  std::unordered_map<int64_t, int> index;  // temporal node -> position
-  auto key_of = [](TemporalNodeRef r) {
-    return static_cast<int64_t>(r.node) * 4000037 + r.t;
-  };
-  index[key_of(center)] = 0;
+  TemporalNodeIndex& index = scratch.index;  // temporal node -> position
+  index.Clear();
+  index.Insert(center, 0);
 
   // Breadth-first expansion to radius k. The time window is anchored at the
   // center's timestamp (Def. 3), so every node in the ego-graph is within
   // t_N of the center.
-  std::vector<int> frontier = {0};
+  std::vector<int>& frontier = scratch.frontier;
+  std::vector<int>& next_frontier = scratch.next_frontier;
+  frontier.assign(1, 0);
   for (int hop = 1; hop <= config_.radius && !frontier.empty(); ++hop) {
-    std::vector<int> next_frontier;
+    next_frontier.clear();
     for (int parent_idx : frontier) {
-      TemporalNodeRef parent = ego.nodes[static_cast<size_t>(parent_idx)];
-      std::vector<TemporalNeighbor> nbrs = graph_->TemporalNeighborhood(
-          parent.node, ego.center.t, config_.time_window);
-      std::vector<TemporalNeighbor> chosen = SampleNeighbors(nbrs, rng);
+      const NodeId parent = ego.nodes[static_cast<size_t>(parent_idx)].node;
+      std::span<const TemporalNeighbor> chosen = SampleNeighbors(
+          WithinTimeWindow(graph_->Neighbors(parent), center.t,
+                           config_.time_window),
+          rng, scratch.picks);
       for (const TemporalNeighbor& nb : chosen) {
-        TemporalNodeRef child{nb.node, nb.t};
-        int64_t k = key_of(child);
-        auto it = index.find(k);
-        int child_idx;
-        if (it == index.end()) {
-          child_idx = ego.size();
-          index.emplace(k, child_idx);
+        const TemporalNodeRef child{nb.node, nb.t};
+        auto [child_idx, inserted] = index.Insert(child, ego.size());
+        if (inserted) {
           ego.nodes.push_back(child);
           ego.depth.push_back(hop);
           next_frontier.push_back(child_idx);
-        } else {
-          child_idx = it->second;
         }
         if (child_idx != parent_idx)
           ego.edges.emplace_back(parent_idx, child_idx);
       }
     }
-    frontier = std::move(next_frontier);
+    std::swap(frontier, next_frontier);
   }
-  // Dedup parallel sampled edges.
+  // Dedup parallel sampled edges (repeated picks and repeated windows).
   std::sort(ego.edges.begin(), ego.edges.end());
   ego.edges.erase(std::unique(ego.edges.begin(), ego.edges.end()),
                   ego.edges.end());
+}
+
+EgoGraph EgoGraphSampler::Sample(TemporalNodeRef center, Rng& rng) const {
+  EgoSamplerScratch scratch;
+  EgoGraph ego;
+  SampleInto(center, rng, scratch, ego);
   return ego;
 }
 

@@ -1,11 +1,13 @@
 #ifndef TGSIM_GRAPH_EGO_SAMPLER_H_
 #define TGSIM_GRAPH_EGO_SAMPLER_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/temporal_graph.h"
+#include "graph/temporal_node_index.h"
 #include "graph/types.h"
 #include "sampling/samplers.h"
 
@@ -39,6 +41,17 @@ struct EgoGraph {
   int size() const { return static_cast<int>(nodes.size()); }
 };
 
+/// Working buffers of EgoGraphSampler::SampleInto, owned by the caller so
+/// that a loop over centers allocates only while they grow: the temporal
+/// node index, the two BFS frontiers and a window's sampled picks. Their
+/// contents between calls mean nothing.
+struct EgoSamplerScratch {
+  TemporalNodeIndex index;
+  std::vector<int> frontier;
+  std::vector<int> next_frontier;
+  std::vector<TemporalNeighbor> picks;
+};
+
 /// Samples k-radius temporal ego-graphs (paper Algorithm 1).
 class EgoGraphSampler {
  public:
@@ -49,16 +62,25 @@ class EgoGraphSampler {
     TGSIM_CHECK_GE(config.radius, 1);
   }
 
-  /// Samples the ego-graph rooted at `center`.
+  /// Samples the ego-graph rooted at `center` into `ego`, replacing its
+  /// contents and keeping its capacity.
+  void SampleInto(TemporalNodeRef center, Rng& rng,
+                  EgoSamplerScratch& scratch, EgoGraph& ego) const;
+
+  /// Samples the ego-graph rooted at `center` (SampleInto with fresh
+  /// buffers: the same nodes, edges and Rng draws).
   EgoGraph Sample(TemporalNodeRef center, Rng& rng) const;
 
   const EgoGraphConfig& config() const { return config_; }
 
  private:
-  /// Paper's NodeSampling: keeps the whole set if within the threshold,
-  /// otherwise draws `threshold` samples with replacement (dedup'd).
-  std::vector<TemporalNeighbor> SampleNeighbors(
-      const std::vector<TemporalNeighbor>& all, Rng& rng) const;
+  /// Paper's NodeSampling over a parent's time window: the whole window if
+  /// within the threshold, otherwise `threshold` draws with replacement
+  /// into `picks`. Repeated picks are kept; the caller interns a repeat to
+  /// the child its first pick created and drops the repeated edge.
+  std::span<const TemporalNeighbor> SampleNeighbors(
+      std::span<const TemporalNeighbor> window, Rng& rng,
+      std::vector<TemporalNeighbor>& picks) const;
 
   const TemporalGraph* graph_;
   EgoGraphConfig config_;

@@ -6,6 +6,19 @@
 
 namespace tgsim::graphs {
 
+std::span<const TemporalNeighbor> WithinTimeWindow(
+    std::span<const TemporalNeighbor> nbrs, Timestamp t, int time_window) {
+  const Timestamp lo = static_cast<Timestamp>(t - time_window);
+  const Timestamp hi = static_cast<Timestamp>(t + time_window);
+  auto first = std::lower_bound(
+      nbrs.begin(), nbrs.end(), lo,
+      [](const TemporalNeighbor& a, Timestamp x) { return a.t < x; });
+  auto last = std::upper_bound(
+      first, nbrs.end(), hi,
+      [](Timestamp x, const TemporalNeighbor& a) { return x < a.t; });
+  return {first, last};
+}
+
 Status CheckShapeJustifiedByEdges(int64_t num_nodes, int64_t num_timestamps,
                                   int64_t num_edges) {
   constexpr int64_t kFloor = int64_t{1} << 21;
@@ -160,45 +173,20 @@ std::span<const TemporalNeighbor> TemporalGraph::OutNeighbors(
 
 std::vector<TemporalNeighbor> TemporalGraph::OutNeighborhood(
     NodeId u, Timestamp t, int time_window) const {
-  auto nbrs = OutNeighbors(u);
-  Timestamp lo = static_cast<Timestamp>(t - time_window);
-  Timestamp hi = static_cast<Timestamp>(t + time_window);
-  auto first = std::lower_bound(
-      nbrs.begin(), nbrs.end(), lo,
-      [](const TemporalNeighbor& a, Timestamp x) { return a.t < x; });
-  auto last = std::upper_bound(
-      nbrs.begin(), nbrs.end(), hi,
-      [](Timestamp x, const TemporalNeighbor& a) { return x < a.t; });
-  return {first, last};
+  auto run = WithinTimeWindow(OutNeighbors(u), t, time_window);
+  return {run.begin(), run.end()};
 }
 
 std::vector<TemporalNeighbor> TemporalGraph::TemporalNeighborhood(
     NodeId u, Timestamp t, int time_window) const {
-  auto nbrs = Neighbors(u);
-  // Neighbors are sorted by t; binary search the admissible window.
-  Timestamp lo = static_cast<Timestamp>(t - time_window);
-  Timestamp hi = static_cast<Timestamp>(t + time_window);
-  auto first = std::lower_bound(
-      nbrs.begin(), nbrs.end(), lo,
-      [](const TemporalNeighbor& a, Timestamp x) { return a.t < x; });
-  auto last = std::upper_bound(
-      nbrs.begin(), nbrs.end(), hi,
-      [](Timestamp x, const TemporalNeighbor& a) { return x < a.t; });
-  return {first, last};
+  auto run = WithinTimeWindow(Neighbors(u), t, time_window);
+  return {run.begin(), run.end()};
 }
 
 int64_t TemporalGraph::TemporalDegree(NodeId u, Timestamp t,
                                       int time_window) const {
-  auto nbrs = Neighbors(u);
-  Timestamp lo = static_cast<Timestamp>(t - time_window);
-  Timestamp hi = static_cast<Timestamp>(t + time_window);
-  auto first = std::lower_bound(
-      nbrs.begin(), nbrs.end(), lo,
-      [](const TemporalNeighbor& a, Timestamp x) { return a.t < x; });
-  auto last = std::upper_bound(
-      nbrs.begin(), nbrs.end(), hi,
-      [](Timestamp x, const TemporalNeighbor& a) { return x < a.t; });
-  return last - first;
+  return static_cast<int64_t>(
+      WithinTimeWindow(Neighbors(u), t, time_window).size());
 }
 
 int64_t TemporalGraph::NumTemporalNodes() const {

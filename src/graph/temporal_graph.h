@@ -24,6 +24,13 @@ struct TemporalNeighbor {
   }
 };
 
+/// The entries of `nbrs`, which must be sorted by t, with
+/// |t' - t| <= time_window: a contiguous run, found by binary search. The
+/// one time-window search of the library; callers pass `Neighbors(u)` or
+/// `OutNeighbors(u)` of a finalized graph and read the run in place.
+std::span<const TemporalNeighbor> WithinTimeWindow(
+    std::span<const TemporalNeighbor> nbrs, Timestamp t, int time_window);
+
 /// The shape bound of a graph read from outside the program (an edge list,
 /// or an artifact's shape or support graph), checked before anything sized
 /// by its counts is allocated: m edges justify at most max(2^21, 2m) nodes
@@ -71,12 +78,14 @@ class TemporalGraph {
   std::span<const TemporalNeighbor> OutNeighbors(NodeId u) const;
 
   /// Out-neighbor occurrences with |t' - t| <= time_window (the directed
-  /// adjacency row A_{u^t} of the paper's Eq. 6 when time_window = 0).
+  /// adjacency row A_{u^t} of the paper's Eq. 6 when time_window = 0), as
+  /// a copy of `WithinTimeWindow(OutNeighbors(u), t, time_window)`.
   std::vector<TemporalNeighbor> OutNeighborhood(NodeId u, Timestamp t,
                                                 int time_window) const;
 
   /// First-order temporal neighborhood of (u, t): neighbor occurrences with
-  /// |t' - t| <= time_window (paper Def. 3 with d_N = 1).
+  /// |t' - t| <= time_window (paper Def. 3 with d_N = 1), as a copy of
+  /// `WithinTimeWindow(Neighbors(u), t, time_window)`.
   std::vector<TemporalNeighbor> TemporalNeighborhood(NodeId u, Timestamp t,
                                                      int time_window) const;
 

@@ -1,6 +1,7 @@
 #ifndef TGSIM_GRAPH_TYPES_H_
 #define TGSIM_GRAPH_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 
@@ -39,18 +40,27 @@ struct TemporalNodeRef {
   }
 };
 
+/// The temporal node (node, t) as one 64-bit word: node in the high half,
+/// t in the low half. Distinct temporal nodes always get distinct words.
+inline uint64_t PackTemporalNode(const TemporalNodeRef& k) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(k.node)) << 32) |
+         static_cast<uint64_t>(static_cast<uint32_t>(k.t));
+}
+
 /// Hash functor for TemporalNodeRef (for flat hash sets/maps).
 ///
-/// Packs (node, t) into one 64-bit word and applies the splitmix64
-/// finalizer. The finalizer is a bijection on 64-bit words, so distinct
-/// temporal nodes never collide on the full hash, and its avalanche keeps
-/// the low bits (the ones power-of-two hash tables actually use) well
-/// mixed even for the dense node x time grids the ego sampler produces.
+/// Applies the splitmix64 finalizer to the packed (node, t) word. The
+/// finalizer is a bijection on 64-bit words, so distinct temporal nodes
+/// never collide on the full hash, and its avalanche keeps the low bits
+/// (the ones power-of-two hash tables actually use) well mixed even for
+/// the dense node x time grids the ego sampler produces.
 struct TemporalNodeRefHash {
   size_t operator()(const TemporalNodeRef& k) const {
-    uint64_t x =
-        (static_cast<uint64_t>(static_cast<uint32_t>(k.node)) << 32) |
-        static_cast<uint64_t>(static_cast<uint32_t>(k.t));
+    return OfPacked(PackTemporalNode(k));
+  }
+
+  /// The same hash, of an already packed word.
+  static size_t OfPacked(uint64_t x) {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;

@@ -49,18 +49,26 @@ class SegmentIndex {
   std::vector<int> items_;
 };
 
-/// Runs fn(s0, s1) over consecutive segment ranges [s0, s1) that each hold
-/// about kElementwiseGrain member scalars (`width` per member), so a small
-/// segment op runs inline as one range. The ranges depend only on the
+/// Cost of one SegmentSoftmax member, forward or backward, in summed
+/// scalars: a gather, its share of the SoftmaxRow (or Dot + SoftmaxBwdRow)
+/// pass and a scatter, against one add per scalar of a SegmentSum. Chosen
+/// by a BM_SegmentSoftmax sweep over 1 to 64 at 4 threads, where 16 to 32
+/// ran fastest at 10000 members; 16 keeps a softmax of up to 2048 members
+/// inline, so a TGAE generate's (about 1000) still runs without the pool.
+constexpr int kSoftmaxCost = 16;
+
+/// Runs fn(s0, s1) over consecutive segment ranges [s0, s1) that each cost
+/// about kElementwiseGrain summed scalars (`member_cost` per member), so a
+/// small segment op runs inline as one range. The ranges depend only on the
 /// segment sizes, never on the thread count, and each segment (and so
 /// each output row it owns) belongs to exactly one range.
 template <typename Fn>
-void ForSegmentChunks(const SegmentIndex& index, int width, Fn&& fn) {
+void ForSegmentChunks(const SegmentIndex& index, int member_cost, Fn&& fn) {
   const int num_segments = index.num_segments();
   std::vector<int> bounds{0};
   int64_t scalars = 0;
   for (int s = 0; s < num_segments; ++s) {
-    scalars += (index.end(s) - index.begin(s)) * int64_t{width};
+    scalars += (index.end(s) - index.begin(s)) * int64_t{member_cost};
     if (scalars >= kElementwiseGrain && s + 1 < num_segments) {
       bounds.push_back(s + 1);
       scalars = 0;
@@ -682,7 +690,7 @@ Var SegmentSoftmax(const Var& scores, std::vector<int> seg,
   // max/sum order matches the serial sweep bit for bit.
   auto index = std::make_shared<SegmentIndex>(seg, num_segments);
   Tensor out(n, 1);
-  ForSegmentChunks(*index, 1, [&](int64_t s0, int64_t s1) {
+  ForSegmentChunks(*index, kSoftmaxCost, [&](int64_t s0, int64_t s1) {
     // Gather each segment's entries into a contiguous scratch row so
     // the shared SoftmaxRow kernel (and its SIMD variants) can run on
     // it, then scatter the probabilities back. Member order is
@@ -711,7 +719,7 @@ Var SegmentSoftmax(const Var& scores, std::vector<int> seg,
         // Per segment: dx_i = y_i * (g_i - sum_j g_j y_j). Gather the
         // segment's go/y/gi into scratch rows, run the shared Dot +
         // SoftmaxBwdRow kernels, scatter the updated gi back.
-        ForSegmentChunks(*index, 1, [&](int64_t s0, int64_t s1) {
+        ForSegmentChunks(*index, kSoftmaxCost, [&](int64_t s0, int64_t s1) {
           std::vector<Scalar> go_s, y_s, gi_s;
           for (int64_t s = s0; s < s1; ++s) {
             const int si = static_cast<int>(s);

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "eval/registry.h"
 #include "graph/static_graph.h"
 #include "graph/temporal_graph.h"
+#include "graph/temporal_node_index.h"
 #include "gtest/gtest.h"
 
 namespace tgsim::graphs {
@@ -361,6 +364,66 @@ TEST(TemporalNodeRefHashTest, LowBitsSpreadAcrossBuckets) {
     for (Timestamp t = 0; t < kTimes; ++t)
       buckets.insert(hash(TemporalNodeRef{u, t}) % kBuckets);
   EXPECT_EQ(buckets.size(), static_cast<size_t>(kBuckets));
+}
+
+// ---------------------------------------------------------------------------
+// TemporalNodeIndex: the flat interning table.
+// ---------------------------------------------------------------------------
+
+TEST(TemporalNodeIndexTest, InsertKeepsTheFirstValue) {
+  TemporalNodeIndex index;
+  EXPECT_EQ(index.Insert({3, 4}, 7), (std::pair<int, bool>{7, true}));
+  EXPECT_EQ(index.Insert({3, 4}, 9), (std::pair<int, bool>{7, false}));
+  EXPECT_EQ(index.Insert({4, 3}, 9), (std::pair<int, bool>{9, true}));
+  EXPECT_EQ(index.Insert({4, 3}, 1), (std::pair<int, bool>{9, false}));
+}
+
+TEST(TemporalNodeIndexTest, GrowsAndClearsWithoutLosingKeys) {
+  // A dense node x time grid, inserted without Reserve, crosses several
+  // doublings and keeps every value; a Clear then forgets every key, so
+  // the second round inserts the grid afresh with new values. Keys that a
+  // `node * 4000037 + t` encoding would alias stay apart.
+  TemporalNodeIndex index;
+  for (int round = 0; round < 2; ++round) {
+    int value = round * 10000;
+    for (NodeId u = 0; u < 60; ++u)
+      for (Timestamp t = 0; t < 60; ++t)
+        ASSERT_TRUE(index.Insert({u, t}, value++).second);
+    value = round * 10000;
+    for (NodeId u = 0; u < 60; ++u)
+      for (Timestamp t = 0; t < 60; ++t)
+        ASSERT_EQ(index.Insert({u, t}, 0).first, value++);
+    index.Clear();
+  }
+  index.Reserve(2);
+  EXPECT_TRUE(index.Insert({1, 0}, 0).second);
+  EXPECT_TRUE(index.Insert({0, 4000037}, 1).second);
+  EXPECT_EQ(index.Insert({0, 4000037}, 2).first, 1);
+}
+
+TEST(TemporalGraphTest, WithinTimeWindowIsTheFilteredRun) {
+  // The binary-searched run equals a linear filter of the adjacency, for
+  // both directions and for windows reaching past either end of time.
+  TemporalGraph g = MakeToyGraph();
+  auto filtered = [](std::span<const TemporalNeighbor> nbrs, Timestamp t,
+                     int w) {
+    std::vector<TemporalNeighbor> out;
+    for (const TemporalNeighbor& nb : nbrs)
+      if (std::abs(nb.t - t) <= w) out.push_back(nb);
+    return out;
+  };
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (Timestamp t = 0; t < g.num_timestamps(); ++t) {
+      for (int w = 0; w <= 3; ++w) {
+        auto all = WithinTimeWindow(g.Neighbors(u), t, w);
+        auto out = WithinTimeWindow(g.OutNeighbors(u), t, w);
+        EXPECT_EQ(std::vector<TemporalNeighbor>(all.begin(), all.end()),
+                  filtered(g.Neighbors(u), t, w));
+        EXPECT_EQ(std::vector<TemporalNeighbor>(out.begin(), out.end()),
+                  filtered(g.OutNeighbors(u), t, w));
+      }
+    }
+  }
 }
 
 }  // namespace

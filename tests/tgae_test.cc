@@ -1,6 +1,7 @@
 #include "core/tgae.h"
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -321,14 +322,21 @@ TEST(TgaeTest, NextUntakenNodeScansPastTakenNodes) {
 }
 
 TEST(TgaeTest, EmptySupportFallbackEmitsNoSelfLoopsOrDuplicates) {
-  // Node 0's only observed interactions are self-loops, so its generation
-  // support is empty and all three of its edges go through the full-row
-  // fallback. The old single-step collision nudge could land on a taken
-  // node — including node 0 itself — emitting self-loops or duplicate
-  // destinations; the fallback must produce distinct non-self targets.
-  graphs::TemporalGraph g(5, 2);
-  for (int r = 0; r < 3; ++r) g.AddEdge(0, 0, 0);
-  g.AddEdge(1, 2, 0);
+  // Nodes 0 and 1 interact only with themselves, so their generation
+  // supports are empty and every one of their edges goes through the
+  // full-row fallback. Each has budget n - 1 at t = 0, so each must reach
+  // every other node exactly once. The old single-step collision nudge
+  // could land on a taken node — including the source itself — emitting
+  // self-loops or duplicate destinations. Node 1 follows node 0 in the
+  // same timestamp, so it also fails if node 0's taken marks leak into
+  // its row.
+  constexpr int kNodes = 5;
+  graphs::TemporalGraph g(kNodes, 2);
+  for (int r = 0; r < kNodes - 1; ++r) {
+    g.AddEdge(0, 0, 0);
+    g.AddEdge(1, 1, 0);
+  }
+  g.AddEdge(2, 3, 0);
   g.AddEdge(2, 3, 1);
   g.AddEdge(3, 4, 1);
   g.Finalize();
@@ -340,17 +348,52 @@ TEST(TgaeTest, EmptySupportFallbackEmitsNoSelfLoopsOrDuplicates) {
     TgaeGenerator gen(cfg);
     Rng rng(3);
     gen.Fit(g, rng);
-    graphs::TemporalGraph out = gen.Generate(rng);
-    std::set<graphs::NodeId> fallback_dests;
-    for (const auto& e : out.edges()) {
-      EXPECT_NE(e.u, e.v) << "self-loop (sparse=" << sparse << ")";
-      if (e.u == 0 && e.t == 0) {
-        EXPECT_TRUE(fallback_dests.insert(e.v).second)
-            << "duplicate destination " << e.v << " (sparse=" << sparse
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng gen_rng(seed);
+      graphs::TemporalGraph out = gen.Generate(gen_rng);
+      std::map<graphs::NodeId, std::set<graphs::NodeId>> fallback_dests;
+      for (const auto& e : out.edges()) {
+        EXPECT_NE(e.u, e.v) << "self-loop (sparse=" << sparse << ")";
+        if (e.u <= 1 && e.t == 0) {
+          EXPECT_TRUE(fallback_dests[e.u].insert(e.v).second)
+              << "duplicate destination " << e.v << " of " << e.u
+              << " (sparse=" << sparse << ", seed " << seed << ")";
+        }
+      }
+      for (graphs::NodeId u : {0, 1}) {
+        EXPECT_EQ(fallback_dests[u].size(), static_cast<size_t>(kNodes - 1))
+            << "node " << u << " (sparse=" << sparse << ", seed " << seed
             << ")";
       }
     }
-    EXPECT_EQ(fallback_dests.size(), 3u) << "sparse=" << sparse;
+  }
+}
+
+TEST(TgaeTest, RowsSharingAnOutNeighborEachKeepIt) {
+  // Nodes 0 and 1 both send their one edge at t = 0 to node 2, and have no
+  // other out-neighbor in the generation window. Each row's support is
+  // {2} with budget 1, so each must draw exactly that edge, on every seed:
+  // node 2 being in row 0's support must not hide it from row 1's.
+  graphs::TemporalGraph g(5, 3);
+  g.AddEdge(0, 2, 0);
+  g.AddEdge(1, 2, 0);
+  g.AddEdge(2, 3, 1);
+  g.AddEdge(3, 4, 2);
+  g.AddEdge(4, 2, 2);
+  g.Finalize();
+  TgaeConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_centers = 4;
+  TgaeGenerator gen(cfg);
+  Rng rng(5);
+  gen.Fit(g, rng);
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng gen_rng(seed);
+    graphs::TemporalGraph out = gen.Generate(gen_rng);
+    std::vector<graphs::TemporalEdge> at0(out.EdgesAt(0).begin(),
+                                          out.EdgesAt(0).end());
+    EXPECT_EQ(at0, (std::vector<graphs::TemporalEdge>{{0, 2, 0}, {1, 2, 0}}))
+        << "seed " << seed;
   }
 }
 
