@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "baselines/score_sampling.h"
+#include "sampling/samplers.h"
 #include "storage/block_file.h"
 
 namespace tgsim::baselines {
@@ -128,7 +129,7 @@ std::vector<int> SampleRecentSnapshots(const std::vector<int>& candidates,
     weights.push_back(std::exp((t - (num_timestamps - 1)) / tau));
   picked.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    const size_t idx = rng.WeightedChoice(weights);
+    const size_t idx = sampling::WeightedPick(weights, rng);
     picked.push_back(candidates[idx]);
     weights[idx] = 0.0;  // Without replacement.
   }

@@ -1,33 +1,8 @@
 #include "common/rng.h"
 
-#include <cmath>
 #include <unordered_set>
 
 namespace tgsim {
-
-size_t Rng::WeightedChoice(const std::vector<double>& weights) {
-  TGSIM_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    TGSIM_DCHECK(w >= 0.0);
-    total += w;
-  }
-  TGSIM_CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  // Guard against floating-point drift (r rounding up to the exact total):
-  // fall back to the last positive-weight index, never a zero-weight one —
-  // a zero weight marks an entry the caller already consumed (e.g. the
-  // without-replacement loops in generation), and returning it would emit
-  // a duplicate.
-  for (size_t i = weights.size(); i-- > 0;)
-    if (weights[i] > 0.0) return i;
-  return weights.size() - 1;  // Unreachable: total > 0 was checked above.
-}
 
 std::vector<int64_t> Rng::SampleWithoutReplacement(int64_t n, int64_t k) {
   TGSIM_CHECK_GE(n, k);

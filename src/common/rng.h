@@ -15,8 +15,8 @@ namespace tgsim {
 /// Every stochastic component (samplers, generators, model initialization)
 /// takes an Rng so that experiments are reproducible from a single seed.
 /// The class wraps std::mt19937_64 with the sampling helpers the paper's
-/// algorithms need (uniform/normal draws, weighted choice, reservoir-free
-/// sampling with and without replacement).
+/// algorithms need (uniform/normal draws, reservoir-free sampling with and
+/// without replacement). Weighted draws live in src/sampling.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 42) : engine_(seed) {}
@@ -56,10 +56,6 @@ class Rng {
     if (u <= 0.0) u = 1e-12;
     return std::pow(1.0 / u, 1.0 / alpha);
   }
-
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Weights must be non-negative with a positive sum.
-  size_t WeightedChoice(const std::vector<double>& weights);
 
   /// Samples `k` distinct values from [0, n) uniformly (Floyd's algorithm).
   /// Requires k <= n. The result is not sorted.

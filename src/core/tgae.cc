@@ -639,8 +639,8 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
         int from_support =
             std::min(wanted, static_cast<int>(support.size()));
         // Sum-tree draws: O(log s) per draw + consume, replacing the old
-        // O(s) WeightedChoice scan followed by an O(s) all-zero rescan on
-        // every draw. Internal sums are exact child sums, so total()
+        // O(s) linear scan followed by an O(s) all-zero rescan on every
+        // draw. Internal sums are exact child sums, so total()
         // reaches exactly 0.0 once every entry is consumed — the loop
         // needs no epsilon and no rescan. A drawn support node is zeroed
         // in the tree, so no destination repeats.

@@ -18,8 +18,7 @@ TgatLayer::TgatLayer(Rng& rng, int in_dim, int out_dim, int num_heads)
 
 nn::Var TgatLayer::Forward(const nn::Var& src_feats,
                            const graphs::BipartiteLayer& edges,
-                           const std::vector<int>& dst_copy_in_src) const {
-  const int n_dst = static_cast<int>(dst_copy_in_src.size());
+                           int n_dst) const {
   TGSIM_CHECK(!edges.src.empty());
   // All head projections in one blocked matmul against the concatenated
   // head weights; per-head views are column slices. Column j of the batched
@@ -37,11 +36,10 @@ nn::Var TgatLayer::Forward(const nn::Var& src_feats,
                        ? proj_all
                        : nn::SliceCols(proj_all, h * head_dim_,
                                        (h + 1) * head_dim_);
-    // Queries: the target node's own projection (its copy in the source
-    // layer — the paper's self-loops).
-    nn::Var q_dst = nn::GatherRows(proj, dst_copy_in_src);
+    // Queries: the target node's own projection (target i is source i —
+    // the paper's self-loops).
     nn::Var hs = nn::GatherRows(proj, edges.src);
-    nn::Var hd = nn::GatherRows(q_dst, edges.dst);
+    nn::Var hd = nn::GatherRows(proj, edges.dst);
     nn::Var scores = nn::LeakyRelu(
         nn::MatMul(nn::ConcatCols({hs, hd}), a_head_[static_cast<size_t>(h)]),
         0.2);
@@ -78,7 +76,7 @@ nn::Var TgatEncoder::Forward(const graphs::BipartiteStack& stack,
   for (int l = k - 1; l >= 0; --l) {
     h = layers_[static_cast<size_t>(l)]->Forward(
         h, stack.layers[static_cast<size_t>(l)],
-        stack.copy_in_next[static_cast<size_t>(l)]);
+        static_cast<int>(stack.layer_nodes[static_cast<size_t>(l)].size()));
   }
   return h;  // Features of S_0.
 }

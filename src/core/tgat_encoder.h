@@ -24,12 +24,12 @@ class TgatLayer : public nn::Module {
   /// `src_feats`: features of the source layer (S_{l+1}).
   /// `edges`: bipartite edges (src index into src layer, dst index into
   ///   target layer).
-  /// `dst_copy_in_src`: for each target node, its index inside the source
-  ///   layer (used to build the attention query).
+  /// `n_dst`: size of the target layer (S_l). S_l is a prefix of S_{l+1},
+  ///   so target node i is source node i, whose projection is its
+  ///   attention query.
   /// Returns target-layer features [n_dst x out_dim].
   nn::Var Forward(const nn::Var& src_feats,
-                  const graphs::BipartiteLayer& edges,
-                  const std::vector<int>& dst_copy_in_src) const;
+                  const graphs::BipartiteLayer& edges, int n_dst) const;
 
   int out_dim() const { return out_dim_; }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "baselines/state_io.h"
 #include "eval/registry.h"
 #include "serialize/serialization.h"
 
@@ -159,6 +160,16 @@ Result<LoadedArtifact> LoadArtifact(const std::string& path) {
   loaded.lineage = lineage;
   loaded.generator = std::move(generator).value();
   return loaded;
+}
+
+Status UpdateArtifact(LoadedArtifact& artifact,
+                      const graphs::TemporalGraph& delta, uint64_t seed) {
+  Rng rng = MakeSeedStreams(seed).fit;
+  Status updated = artifact.generator->Update(delta, rng);
+  if (!updated.ok()) return updated;
+  artifact.lineage.update_count += 1;
+  artifact.lineage.update_epochs += baselines::kUpdateWarmSnapshotLimit;
+  return Status::Ok();
 }
 
 }  // namespace tgsim::eval

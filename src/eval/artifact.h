@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "config/param_map.h"
+#include "graph/temporal_graph.h"
 
 namespace tgsim::eval {
 
@@ -36,8 +37,9 @@ inline constexpr int kArtifactVersion = 2;
 /// base fit, and how many Update(delta) batches have been absorbed since.
 /// A freshly fitted artifact has update_count == 0. `update_epochs` totals
 /// the warm-start epoch budget granted across those updates
-/// (kUpdateWarmSnapshotLimit per batch; the statistical family's updates
-/// are closed-form merges that ignore the budget).
+/// (kUpdateWarmSnapshotLimit per batch, counted by UpdateArtifact; the
+/// statistical family's updates are closed-form merges that ignore the
+/// budget).
 struct UpdateLineage {
   uint64_t base_fit_seed = 0;
   int64_t update_count = 0;
@@ -71,6 +73,15 @@ Status SaveArtifact(const baselines::TemporalGraphGenerator& gen,
 /// The loaded generator's Generate(seed) is bit-identical to the fitted
 /// original's.
 Result<LoadedArtifact> LoadArtifact(const std::string& path);
+
+/// The one update rule of `tgsim update` and the serve daemon: absorbs
+/// `delta` into the loaded generator through Update on the fit stream of
+/// MakeSeedStreams(seed), so both land on the same model for the same
+/// artifact, delta and seed. On success the lineage counts one more update
+/// and kUpdateWarmSnapshotLimit more warm-start epochs; on error it is left
+/// unchanged. Saving the updated artifact stays with the caller.
+Status UpdateArtifact(LoadedArtifact& artifact,
+                      const graphs::TemporalGraph& delta, uint64_t seed);
 
 /// Independent deterministic streams for the fit and generate halves of a
 /// run, derived as Rng(seed).Split(2). `tgsim fit` consumes only the fit

@@ -1,7 +1,6 @@
 #include "graph/bipartite.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "graph/temporal_node_index.h"
@@ -45,14 +44,11 @@ BipartiteStack BuildBipartiteStack(const std::vector<EgoGraph>& egos,
   // Layer l must contain every node of layer l-1 (self message path), plus
   // all hop-l nodes of every ego-graph. S_l starts as a copy of S_{l-1}, so
   // node i of S_{l-1} is node i of S_l.
-  stack.copy_in_next.resize(static_cast<size_t>(radius));
   for (int l = 1; l <= radius; ++l) {
     index.Clear();
-    const auto& prev = stack.layer_nodes[static_cast<size_t>(l) - 1];
-    for (const TemporalNodeRef& node : prev) intern(l, node);
-    auto& copies = stack.copy_in_next[static_cast<size_t>(l) - 1];
-    copies.resize(prev.size());
-    std::iota(copies.begin(), copies.end(), 0);
+    for (const TemporalNodeRef& node :
+         stack.layer_nodes[static_cast<size_t>(l) - 1])
+      intern(l, node);
     for (size_t e = 0; e < egos.size(); ++e) {
       const EgoGraph& ego = egos[e];
       for (int i = 0; i < ego.size(); ++i) {
@@ -63,16 +59,15 @@ BipartiteStack BuildBipartiteStack(const std::vector<EgoGraph>& egos,
     }
   }
 
-  // Edges. Self-loops connect each S_d node from its S_{d+1} copy. An ego
-  // edge (parent at depth d, child at depth d+1) becomes a message edge
-  // child(S_{d+1}) -> parent(S_d) in layers[d].
+  // Edges. Self-loops connect each S_d node i from its S_{d+1} copy, which
+  // is node i too. An ego edge (parent at depth d, child at depth d+1)
+  // becomes a message edge child(S_{d+1}) -> parent(S_d) in layers[d].
   std::vector<std::vector<std::pair<int, int>>> edges(
       static_cast<size_t>(radius));
   for (int l = 0; l < radius; ++l) {
-    const auto& copies = stack.copy_in_next[static_cast<size_t>(l)];
     auto& e = edges[static_cast<size_t>(l)];
-    for (size_t i = 0; i < copies.size(); ++i)
-      e.emplace_back(copies[i], static_cast<int>(i));
+    const size_t n = stack.layer_nodes[static_cast<size_t>(l)].size();
+    for (int i = 0; i < static_cast<int>(n); ++i) e.emplace_back(i, i);
   }
   for (size_t e = 0; e < egos.size(); ++e) {
     const EgoGraph& ego = egos[e];

@@ -24,16 +24,13 @@ struct BipartiteLayer {
 /// holds the deduplicated l-order neighborhood union S_l. Self-edges are
 /// inserted so information at layer l survives to layer l-1 (the paper adds
 /// self-loops to all temporal nodes), which requires S_{l} to also contain
-/// every node of S_{l-1}.
+/// every node of S_{l-1}: S_l is a prefix of S_{l+1}, so node i of S_l is
+/// node i of S_{l+1} and its self-loop in layers[l] is the edge (i, i).
 struct BipartiteStack {
   std::vector<std::vector<TemporalNodeRef>> layer_nodes;  // size k+1
   std::vector<BipartiteLayer> layers;                     // size k
   /// center_index[i] = index of ego i's center inside layer_nodes[0].
   std::vector<int> center_index;
-  /// copy_in_next[l][i] = index of layer_nodes[l][i] inside
-  /// layer_nodes[l+1] (always present because S_{l+1} contains S_l); the
-  /// encoder uses it to fetch attention queries for target nodes.
-  std::vector<std::vector<int>> copy_in_next;  // size k
 
   int radius() const { return static_cast<int>(layers.size()); }
 };

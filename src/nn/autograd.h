@@ -68,7 +68,7 @@ class Var {
 
 /// Runs reverse-mode differentiation from `root`, which must be 1x1 (a
 /// scalar loss). Gradients *accumulate* into every reachable node that
-/// requires grad; call ZeroGrad (or Optimizer::ZeroGrad) between steps.
+/// requires grad; call ZeroGrad (or Adam::ZeroGrad) between steps.
 void Backward(const Var& root);
 
 // ---------------------------------------------------------------------------

@@ -9,16 +9,12 @@
 #include "nn/simd.h"
 #include "nn/tensor.h"
 
-#if defined(_MSC_VER)
-#define TGSIM_RESTRICT __restrict
-#else
 #define TGSIM_RESTRICT __restrict__
-#endif
 
 namespace tgsim::nn::kernels {
 
 /// Row-level microkernels shared by the Tensor math, the autograd tape,
-/// the optimizers, and the generators' hand-rolled logit/softmax loops.
+/// the Adam step, and the generators' hand-rolled logit/softmax loops.
 /// The public entry points below dispatch through a per-ISA table resolved
 /// once at runtime (see simd.h); `kernels::scalar` holds the reference
 /// implementations every backend must match bit for bit. The determinism
@@ -267,15 +263,6 @@ inline void MulAddRow(Scalar* TGSIM_RESTRICT dst,
   for (int i = 0; i < n; ++i) dst[i] = dst[i] + a[i] * b[i];
 }
 
-/// dst[i] = s * dst[i] + a * x[i] — the SGD momentum update
-/// (v = mu*v + 1.0*g) in one pass; with a == 1.0 the second product is
-/// exact, so this matches the old ScaleInPlace-then-Axpy sequence bit for
-/// bit.
-inline void ScaleAddRow(Scalar* TGSIM_RESTRICT dst, Scalar s,
-                        const Scalar* TGSIM_RESTRICT x, Scalar a, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = s * dst[i] + a * x[i];
-}
-
 /// dst[i] = x[i] - s. In place allowed.
 inline void ShiftRow(const Scalar* x, Scalar s, Scalar* dst, int n) {
   for (int i = 0; i < n; ++i) dst[i] = x[i] - s;
@@ -427,11 +414,6 @@ inline void MulRow(Scalar* dst, const Scalar* x, int n) {
 
 inline void MulAddRow(Scalar* dst, const Scalar* a, const Scalar* b, int n) {
   Ops().mul_add_row(dst, a, b, n);
-}
-
-inline void ScaleAddRow(Scalar* dst, Scalar s, const Scalar* x, Scalar a,
-                        int n) {
-  Ops().scale_add_row(dst, s, x, a, n);
 }
 
 inline void ShiftRow(const Scalar* x, Scalar s, Scalar* dst, int n) {

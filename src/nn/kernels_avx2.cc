@@ -271,19 +271,6 @@ void MulAddRowAvx2(Scalar* dst, const Scalar* a, const Scalar* b, int n) {
   for (; i < n; ++i) dst[i] = dst[i] + a[i] * b[i];
 }
 
-void ScaleAddRowAvx2(Scalar* dst, Scalar s, const Scalar* x, Scalar a,
-                     int n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  const __m256d av = _mm256_set1_pd(a);
-  int i = 0;
-  for (; i + 3 < n; i += 4)
-    _mm256_storeu_pd(
-        dst + i,
-        _mm256_add_pd(_mm256_mul_pd(sv, _mm256_loadu_pd(dst + i)),
-                      _mm256_mul_pd(av, _mm256_loadu_pd(x + i))));
-  for (; i < n; ++i) dst[i] = s * dst[i] + a * x[i];
-}
-
 void ShiftRowAvx2(const Scalar* x, Scalar s, Scalar* dst, int n) {
   const __m256d sv = _mm256_set1_pd(s);
   int i = 0;
@@ -453,7 +440,6 @@ const KernelOps kAvx2Ops = {
     ScaleRowAvx2,
     MulRowAvx2,
     MulAddRowAvx2,
-    ScaleAddRowAvx2,
     ShiftRowAvx2,
     SigmoidRowAvx2,
     SigmoidBwdRowAvx2,

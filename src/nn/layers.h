@@ -10,7 +10,7 @@ namespace tgsim::nn {
 /// Base class for components owning trainable parameters.
 ///
 /// Parameters registered via AddParam (or merged from sub-modules with
-/// AbsorbParams) are exposed through params() for the optimizers.
+/// AbsorbParams) are exposed through params() for the optimizer.
 class Module {
  public:
   virtual ~Module() = default;

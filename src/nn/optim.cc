@@ -7,11 +7,11 @@
 
 namespace tgsim::nn {
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (Var& p : params_) p.ZeroGrad();
 }
 
-void Optimizer::ClipGradNorm(Scalar max_norm) {
+void Adam::ClipGradNorm(Scalar max_norm) {
   Scalar total_sq = 0.0;
   for (Var& p : params_) {
     if (p.grad().SameShape(p.value())) {
@@ -28,42 +28,9 @@ void Optimizer::ClipGradNorm(Scalar max_norm) {
   }
 }
 
-Sgd::Sgd(std::vector<Var> params, Scalar lr, Scalar momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0) {
-    velocity_.reserve(params_.size());
-    for (const Var& p : params_)
-      velocity_.emplace_back(p.value().rows(), p.value().cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Var& p = params_[i];
-    if (!p.grad().SameShape(p.value())) continue;  // Never touched.
-    if (momentum_ != 0.0) {
-      // v = momentum*v + 1.0*g in one pass: 1.0*g is exact and
-      // momentum*v rounds identically whether or not the intermediate is
-      // stored, so this matches the old ScaleInPlace-then-Axpy sequence
-      // bit for bit while halving the velocity traffic.
-      Tensor& vel = velocity_[i];
-      const Tensor& g = p.grad();
-      parallel::ParallelFor(
-          0, vel.size(), parallel::kElementwiseGrain,
-          [&](int64_t b, int64_t e) {
-            kernels::ScaleAddRow(vel.data() + b, momentum_, g.data() + b,
-                                 1.0, static_cast<int>(e - b));
-          });
-      p.mutable_value().Axpy(-lr_, vel);
-    } else {
-      p.mutable_value().Axpy(-lr_, p.grad());
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, Scalar lr, Scalar beta1, Scalar beta2,
            Scalar eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

@@ -7,14 +7,15 @@
 
 namespace tgsim::nn {
 
-/// Base class for first-order optimizers over a fixed parameter set.
-class Optimizer {
+/// Adam (Kingma & Ba) over a fixed parameter set — the optimizer used for
+/// TGAE and all learned baselines in this reproduction.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Var> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Var> params, Scalar lr = 1e-3, Scalar beta1 = 0.9,
+       Scalar beta2 = 0.999, Scalar eps = 1e-8);
 
   /// Applies one update using the gradients currently stored on the params.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients (call before each Backward).
   void ZeroGrad();
@@ -22,31 +23,8 @@ class Optimizer {
   /// Clips the global gradient norm to `max_norm` (no-op if under it).
   void ClipGradNorm(Scalar max_norm);
 
- protected:
+ private:
   std::vector<Var> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, Scalar lr, Scalar momentum = 0.0);
-  void Step() override;
-
- private:
-  Scalar lr_;
-  Scalar momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) — the optimizer used for TGAE and all learned
-/// baselines in this reproduction.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Var> params, Scalar lr = 1e-3, Scalar beta1 = 0.9,
-       Scalar beta2 = 0.999, Scalar eps = 1e-8);
-  void Step() override;
-
- private:
   Scalar lr_, beta1_, beta2_, eps_;
   int64_t t_ = 0;
   std::vector<Tensor> m_;

@@ -17,7 +17,6 @@ const KernelOps kScalarOps = {
     scalar::ScaleRow,
     scalar::MulRow,
     scalar::MulAddRow,
-    scalar::ScaleAddRow,
     scalar::ShiftRow,
     scalar::SigmoidRow,
     scalar::SigmoidBwdRow,

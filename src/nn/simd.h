@@ -32,8 +32,6 @@ struct KernelOps {
   void (*scale_row)(Scalar* x, Scalar s, int n);
   void (*mul_row)(Scalar* dst, const Scalar* x, int n);
   void (*mul_add_row)(Scalar* dst, const Scalar* a, const Scalar* b, int n);
-  void (*scale_add_row)(Scalar* dst, Scalar s, const Scalar* x, Scalar a,
-                        int n);
   void (*shift_row)(const Scalar* x, Scalar s, Scalar* dst, int n);
   void (*sigmoid_row)(const Scalar* x, Scalar* dst, int n);
   void (*sigmoid_bwd_row)(const Scalar* go, const Scalar* y, Scalar* gi,

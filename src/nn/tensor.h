@@ -97,7 +97,7 @@ class Tensor {
   void SetZero() { Fill(0.0); }
   /// this += other (same shape).
   void AddInPlace(const Tensor& other);
-  /// this += alpha * other (same shape) — the optimizer kernel.
+  /// this += alpha * other (same shape).
   void Axpy(Scalar alpha, const Tensor& other);
   /// this *= alpha.
   void ScaleInPlace(Scalar alpha);

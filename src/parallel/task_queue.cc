@@ -15,18 +15,14 @@ TaskQueue::TaskQueue(int num_workers, size_t max_pending)
 
 TaskQueue::~TaskQueue() { Shutdown(); }
 
-bool TaskQueue::Enqueue(Task task, bool block) {
+bool TaskQueue::Enqueue(std::function<void()> task) {
   {
     UniqueLock lock(mu_);
-    if (block) {
-      space_cv_.wait(lock, [this] {
-        return queue_.size() < max_pending_ ||
-               closed_.load(std::memory_order_relaxed);
-      });
-    }
-    if (closed_.load(std::memory_order_relaxed) ||
-        queue_.size() >= max_pending_)
-      return false;
+    space_cv_.wait(lock, [this] {
+      return queue_.size() < max_pending_ ||
+             closed_.load(std::memory_order_relaxed);
+    });
+    if (closed_.load(std::memory_order_relaxed)) return false;
     queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
@@ -35,7 +31,7 @@ bool TaskQueue::Enqueue(Task task, bool block) {
 
 void TaskQueue::WorkerLoop() {
   while (true) {
-    Task task;
+    std::function<void()> task;
     {
       UniqueLock lock(mu_);
       work_cv_.wait(lock, [this] {
@@ -46,12 +42,7 @@ void TaskQueue::WorkerLoop() {
       queue_.pop_front();
     }
     space_cv_.notify_one();
-    // The drain contract: a cancelled task's future resolves (with
-    // TaskCancelledError) without the task body ever running.
-    if (task.token.cancelled())
-      task.cancel();
-    else
-      task.run();
+    task();
   }
 }
 

@@ -7,7 +7,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -19,16 +18,12 @@
 namespace tgsim::parallel {
 
 /// The async half of the parallel runtime (the serve daemon's request
-/// spine). Where ThreadPool::RunChunks executes one fork/join region and
-/// ThreadPool::Submit gives fire-and-collect futures on the shared pool, a
-/// TaskQueue owns dedicated workers and adds what a long-lived service
-/// needs:
+/// spine). Where ThreadPool::RunChunks executes one fork/join region on the
+/// shared pool, a TaskQueue owns dedicated workers and adds what a
+/// long-lived service needs:
 ///
-///  - a *bounded* FIFO queue: Submit blocks for space (backpressure),
-///    TrySubmit rejects instead of blocking;
-///  - cooperative cancellation: a task whose CancelToken is cancelled
-///    before a worker dequeues it never runs — its future throws
-///    TaskCancelledError; running tasks may poll the token themselves;
+///  - a *bounded* FIFO queue: Submit blocks while it is full
+///    (backpressure);
 ///  - graceful drain: Shutdown() stops admission, runs every task already
 ///    accepted (in FIFO order per worker), then joins the workers.
 ///
@@ -36,32 +31,11 @@ namespace tgsim::parallel {
 /// the only sanctioned way for other modules to get persistent worker
 /// threads (ROADMAP: only src/parallel spawns threads or takes locks).
 
-/// Thrown through the future of a task whose CancelToken was cancelled
-/// before the task started executing.
-class TaskCancelledError : public std::runtime_error {
- public:
-  TaskCancelledError()
-      : std::runtime_error("task cancelled before execution") {}
-};
-
 /// Thrown through the future of a task submitted after Shutdown() began
 /// (or rejected while blocked for space when the queue shut down).
 class TaskRejectedError : public std::runtime_error {
  public:
   TaskRejectedError() : std::runtime_error("task queue is shut down") {}
-};
-
-/// Shared cancellation flag: the submitter keeps one copy, the queue (and
-/// optionally the task body) another. Copies observe the same flag.
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void Cancel() { flag_->store(true, std::memory_order_release); }
-  bool cancelled() const { return flag_->load(std::memory_order_acquire); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
 };
 
 class TaskQueue {
@@ -78,38 +52,32 @@ class TaskQueue {
 
   /// Schedules `fn` and returns a future for its result. Blocks while the
   /// queue is full. If the queue is (or becomes, while blocked) shut down,
-  /// the returned future throws TaskRejectedError; if `token` is cancelled
-  /// before a worker picks the task up, it throws TaskCancelledError.
+  /// `fn` never runs and the returned future throws TaskRejectedError.
   template <typename Fn>
-  auto Submit(Fn fn, CancelToken token = CancelToken())
-      -> std::future<std::invoke_result_t<Fn&>> {
+  auto Submit(Fn fn) -> std::future<std::invoke_result_t<Fn&>> {
     using R = std::invoke_result_t<Fn&>;
     auto promise = std::make_shared<std::promise<R>>();
     std::future<R> future = promise->get_future();
-    if (!Enqueue(MakeTask(std::move(fn), promise, std::move(token)),
-                 /*block=*/true))
+    const bool accepted = Enqueue([promise, fn = std::move(fn)]() mutable {
+      try {
+        if constexpr (std::is_void_v<R>) {
+          fn();
+          promise->set_value();
+        } else {
+          promise->set_value(fn());
+        }
+      } catch (...) {
+        promise->set_exception(std::current_exception());
+      }
+    });
+    if (!accepted)
       promise->set_exception(std::make_exception_ptr(TaskRejectedError()));
     return future;
   }
 
-  /// Non-blocking Submit: returns std::nullopt instead of waiting when the
-  /// queue is full or shut down (the caller sheds load instead of queuing).
-  template <typename Fn>
-  auto TrySubmit(Fn fn, CancelToken token = CancelToken())
-      -> std::optional<std::future<std::invoke_result_t<Fn&>>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto promise = std::make_shared<std::promise<R>>();
-    std::future<R> future = promise->get_future();
-    if (!Enqueue(MakeTask(std::move(fn), promise, std::move(token)),
-                 /*block=*/false))
-      return std::nullopt;
-    return future;
-  }
-
   /// Stops admission, runs every already-accepted task to completion (in
-  /// submission order per worker; cancelled tasks short-circuit), joins the
-  /// workers. Idempotent; concurrent callers all block until the drain is
-  /// complete.
+  /// submission order per worker), joins the workers. Idempotent;
+  /// concurrent callers all block until the drain is complete.
   void Shutdown();
 
   int num_workers() const { return num_workers_; }
@@ -124,37 +92,9 @@ class TaskQueue {
   }
 
  private:
-  struct Task {
-    std::function<void()> run;     // Fulfils the promise (never throws).
-    std::function<void()> cancel;  // Sets TaskCancelledError instead.
-    CancelToken token;
-  };
-
-  template <typename Fn, typename R>
-  Task MakeTask(Fn fn, std::shared_ptr<std::promise<R>> promise,
-                CancelToken token) {
-    Task task;
-    task.run = [promise, fn = std::move(fn)]() mutable {
-      try {
-        if constexpr (std::is_void_v<R>) {
-          fn();
-          promise->set_value();
-        } else {
-          promise->set_value(fn());
-        }
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-      }
-    };
-    task.cancel = [promise] {
-      promise->set_exception(std::make_exception_ptr(TaskCancelledError()));
-    };
-    task.token = std::move(token);
-    return task;
-  }
-
-  /// Adds the task (blocking for space if `block`); false on rejection.
-  bool Enqueue(Task task, bool block);
+  /// Adds `task` (which never throws: Submit routes everything into its
+  /// promise), blocking for space; false if the queue is shut down.
+  bool Enqueue(std::function<void()> task);
   void WorkerLoop();
 
   const int num_workers_;
@@ -164,7 +104,7 @@ class TaskQueue {
   mutable Mutex mu_;
   CondVar work_cv_;   // Signals workers: task available or closed.
   CondVar space_cv_;  // Signals submitters: slot freed or closed.
-  std::deque<Task> queue_;
+  std::deque<std::function<void()>> queue_;
   std::atomic<bool> closed_{false};
   Mutex shutdown_mu_;
   bool joined_ = false;  // Guarded by shutdown_mu_.

@@ -86,21 +86,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::SubmitTask(std::function<void()> task) {
-  if (workers_.empty()) {
-    // Serial fallback: a 1-thread pool runs the task on the caller, so the
-    // future Submit returned is already ready when it reaches the caller.
-    task();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TGSIM_CHECK(!stopping_);  // Submit after destruction began is a bug.
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::RunChunks(int64_t num_chunks,
                            const std::function<void(int64_t)>& fn) {
   if (num_chunks <= 0) return;

@@ -5,12 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace tgsim::parallel {
@@ -49,36 +45,6 @@ class ThreadPool {
   /// rethrown on the calling thread (remaining chunks are skipped).
   void RunChunks(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
-  /// Asynchronous single tasks on top of the same workers: runs `fn` on a
-  /// pool worker and returns a future for its result. An exception thrown
-  /// by `fn` is rethrown by future.get(). On a pool of size 1 (no workers)
-  /// the task runs inline before Submit returns — the serial fallback that
-  /// keeps single-threaded runs deterministic and deadlock-free.
-  ///
-  /// Submitted tasks and RunChunks helper tasks share the worker queue;
-  /// Submit never blocks the caller (the queue is unbounded here — use
-  /// parallel::TaskQueue for bounded admission and cancellation).
-  /// Tasks still queued at destruction are drained, not dropped.
-  template <typename Fn>
-  auto Submit(Fn fn) -> std::future<std::invoke_result_t<Fn&>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto promise = std::make_shared<std::promise<R>>();
-    std::future<R> future = promise->get_future();
-    SubmitTask([promise, fn = std::move(fn)]() mutable {
-      try {
-        if constexpr (std::is_void_v<R>) {
-          fn();
-          promise->set_value();
-        } else {
-          promise->set_value(fn());
-        }
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-      }
-    });
-    return future;
-  }
-
   /// Process-wide pool. Sized on first use from the TGSIM_NUM_THREADS
   /// environment variable if set (clamped to [1, 1024]), otherwise from
   /// std::thread::hardware_concurrency().
@@ -98,17 +64,12 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  /// Type-erased core of Submit: enqueues `task` for a worker, or runs it
-  /// inline when the pool has no workers. `task` must not throw (Submit
-  /// wraps everything into the promise).
-  void SubmitTask(std::function<void()> task);
-
   const int num_threads_;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::function<void()>> queue_;  // RunChunks helper tasks.
   bool stopping_ = false;
   /// Workers currently parked on cv_ (guarded by mu_). RunChunks only
   /// enqueues as many helper tasks as there are idle workers, so nested

@@ -141,9 +141,9 @@ size_t WeightedPick(std::span<const double> weights, Rng& rng) {
     acc += weights[i];
     if (r < acc) return i;
   }
-  // Drift guard, mirroring Rng::WeightedChoice: never return a zero-weight
-  // entry — zero marks an already-consumed slot in without-replacement
-  // loops, and returning it would emit a duplicate.
+  // Drift guard (r rounding up to the exact total): never return a
+  // zero-weight entry — zero marks an already-consumed slot in
+  // without-replacement loops, and returning it would emit a duplicate.
   for (size_t i = weights.size(); i-- > 0;)
     if (weights[i] > 0.0) return i;
   return weights.size() - 1;  // Unreachable: total > 0 was checked above.

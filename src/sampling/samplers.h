@@ -105,11 +105,10 @@ class TreeSampler {
 };
 
 /// Samples an index in [0, weights.size()) with probability proportional
-/// to weights[i] — the span-based twin of `Rng::WeightedChoice`, for
-/// callers holding contiguous rows (e.g. `Tensor::RowSpan`) rather than a
-/// `std::vector`. Same contract and same Rng consumption (one `Uniform()`),
-/// including the drift guard: on floating-point overshoot it falls back to
-/// the last positive-weight index, never a zero-weight one.
+/// to weights[i] by one linear scan, consuming one `Uniform()`. Weights must
+/// be non-negative with a positive sum. Drift guard: on floating-point
+/// overshoot it falls back to the last positive-weight index, never a
+/// zero-weight one.
 size_t WeightedPick(std::span<const double> weights, Rng& rng);
 
 }  // namespace tgsim::sampling

@@ -1,17 +1,13 @@
 #include "serve/client.h"
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#endif
 
 namespace tgsim::serve {
-
-#ifndef _WIN32
 
 Result<std::string> CallRaw(const std::string& socket_path,
                             const std::string& frame) {
@@ -68,14 +64,6 @@ Result<std::string> CallRaw(const std::string& socket_path,
   reply.resize(reply.find('\n'));
   return reply;
 }
-
-#else  // _WIN32
-
-Result<std::string> CallRaw(const std::string&, const std::string&) {
-  return Status::Internal("tgsim serve sockets require a POSIX platform");
-}
-
-#endif  // _WIN32
 
 Result<Json> Call(const std::string& socket_path, const Request& request) {
   Result<std::string> reply = CallRaw(socket_path, RenderRequest(request));

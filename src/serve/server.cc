@@ -1,18 +1,5 @@
 #include "serve/server.h"
 
-#include <cstdio>
-#include <exception>
-#include <new>
-#include <sstream>
-#include <utility>
-
-#include "baselines/state_io.h"
-#include "common/check.h"
-#include "datasets/io.h"
-#include "eval/artifact.h"
-#include "graph/temporal_graph.h"
-
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/uio.h>
@@ -22,7 +9,15 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#endif
+#include <exception>
+#include <new>
+#include <sstream>
+#include <utility>
+
+#include "common/check.h"
+#include "datasets/io.h"
+#include "eval/artifact.h"
+#include "graph/temporal_graph.h"
 
 namespace tgsim::serve {
 
@@ -33,9 +28,7 @@ namespace {
 struct FdGuard {
   explicit FdGuard(int fd) : fd(fd) {}
   ~FdGuard() {
-#ifndef _WIN32
     if (fd >= 0) ::close(fd);
-#endif
   }
   FdGuard(const FdGuard&) = delete;
   FdGuard& operator=(const FdGuard&) = delete;
@@ -152,20 +145,18 @@ Json Server::HandleUpdate(const Request& request) {
 
   // Rebuild from the artifact on disk — never the resident instance, which
   // in-flight generates pin and whose replies must stay byte-identical.
-  // The update rng is `tgsim update`'s fit stream, so the swapped-in model
-  // equals the artifact a CLI update with the same inputs produces.
+  // `tgsim update` runs the same rule, so the swapped-in model equals the
+  // artifact a CLI update with the same inputs produces.
   Result<eval::LoadedArtifact> loaded = eval::LoadArtifact(path.value());
   if (!loaded.ok()) return MakeErrorReply(loaded.status());
-  Rng rng = eval::MakeSeedStreams(request.seed).fit;
-  Status updated = loaded.value().generator->Update(delta.value(), rng);
+  Status updated =
+      eval::UpdateArtifact(loaded.value(), delta.value(), request.seed);
   if (!updated.ok()) return MakeErrorReply(updated);
 
   // Persist the updated state next to the swap so a later reload (eviction,
   // restart, chained update) resumes from it. Write-then-rename keeps the
   // artifact readable at every instant.
-  eval::UpdateLineage lineage = loaded.value().lineage;
-  lineage.update_count += 1;
-  lineage.update_epochs += baselines::kUpdateWarmSnapshotLimit;
+  const eval::UpdateLineage& lineage = loaded.value().lineage;
   const std::string tmp = path.value() + ".tmp";
   Status saved =
       eval::SaveArtifact(*loaded.value().generator, loaded.value().method,
@@ -254,7 +245,6 @@ void Server::BeginDrain() {
   bool expected = false;
   if (draining_.compare_exchange_strong(expected, true,
                                         std::memory_order_acq_rel)) {
-#ifndef _WIN32
     // Closing the listener makes a blocked accept() return, so the accept
     // loop observes the drain without polling.
     const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
@@ -262,7 +252,6 @@ void Server::BeginDrain() {
       ::shutdown(fd, SHUT_RDWR);
       ::close(fd);
     }
-#endif
   }
   {
     parallel::MutexLock lock(drain_mu_);
@@ -287,16 +276,12 @@ void Server::Stop() {
   // (each exits at its next frame boundary or read timeout).
   if (listener_queue_ != nullptr) listener_queue_->Shutdown();
   if (conn_queue_ != nullptr) conn_queue_->Shutdown();
-#ifndef _WIN32
   if (!socket_path_.empty()) std::remove(socket_path_.c_str());
-#endif
 }
 
 // ---------------------------------------------------------------------------
 // Socket front end (POSIX local stream socket).
 // ---------------------------------------------------------------------------
-
-#ifndef _WIN32
 
 namespace {
 
@@ -438,16 +423,5 @@ void Server::ServeConnection(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
   }
 }
-
-#else  // _WIN32
-
-Status Server::Listen(const std::string&) {
-  return Status::Internal("tgsim serve sockets require a POSIX platform");
-}
-
-void Server::AcceptLoop() {}
-void Server::ServeConnection(int) {}
-
-#endif  // _WIN32
 
 }  // namespace tgsim::serve

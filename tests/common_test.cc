@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -75,34 +74,6 @@ TEST(RngTest, BernoulliMatchesProbability) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
 }
 
-TEST(RngTest, WeightedChoiceFollowsWeights) {
-  Rng rng(8);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  std::vector<int> seen(3, 0);
-  for (int i = 0; i < 8000; ++i) ++seen[rng.WeightedChoice(w)];
-  EXPECT_EQ(seen[1], 0);
-  EXPECT_NEAR(static_cast<double>(seen[2]) / seen[0], 3.0, 0.5);
-}
-
-TEST(RngTest, WeightedChoiceDriftGuardSkipsTrailingZeroWeights) {
-  // With a min-denormal total, r = Uniform() * total rounds up to exactly
-  // `total` about half the time, so the accumulation loop falls through to
-  // the floating-point drift guard. The guard must return the last
-  // *positive*-weight index — a zero-weight entry marks a slot the caller
-  // already consumed (the without-replacement loops in generation), and
-  // returning it emits a duplicate edge.
-  const double denorm = std::numeric_limits<double>::denorm_min();
-  std::vector<double> w = {denorm, 0.0};
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_EQ(rng.WeightedChoice(w), 0u) << "draw " << i;
-  // Same with several trailing zeros after the positive entry.
-  std::vector<double> w2 = {0.0, denorm, 0.0, 0.0};
-  Rng rng2(8);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_EQ(rng2.WeightedChoice(w2), 1u) << "draw " << i;
-}
-
 TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {
   Rng rng(9);
   for (int trial = 0; trial < 50; ++trial) {
@@ -140,7 +111,6 @@ TEST(RngTest, SameSeedSameStreamAcrossAllHelpers) {
   // Determinism must hold for every sampling helper, not just Uniform():
   // interleaving draws exercises the shared engine state.
   Rng a(77), b(77);
-  std::vector<double> w = {0.5, 1.5, 2.0};
   for (int i = 0; i < 200; ++i) {
     EXPECT_DOUBLE_EQ(a.Uniform(), b.Uniform());
     EXPECT_DOUBLE_EQ(a.Uniform(-3.0, 3.0), b.Uniform(-3.0, 3.0));
@@ -150,7 +120,6 @@ TEST(RngTest, SameSeedSameStreamAcrossAllHelpers) {
     EXPECT_DOUBLE_EQ(a.Normal(2.0, 0.5), b.Normal(2.0, 0.5));
     EXPECT_EQ(a.Bernoulli(0.4), b.Bernoulli(0.4));
     EXPECT_DOUBLE_EQ(a.Pareto(2.5), b.Pareto(2.5));
-    EXPECT_EQ(a.WeightedChoice(w), b.WeightedChoice(w));
     EXPECT_EQ(a.SampleWithoutReplacement(30, 7),
               b.SampleWithoutReplacement(30, 7));
   }

@@ -175,11 +175,6 @@ TEST(KernelBitIdentityTest, ElementwiseKernels) {
     d.mul_add_row(ad.data(), x.data(), y.data(), n);
     EXPECT_TRUE(BitsEqual(as, ad, "MulAddRow", n));
 
-    as = base, ad = base;
-    s->scale_add_row(as.data(), 0.9, x.data(), 1.0, n);
-    d.scale_add_row(ad.data(), 0.9, x.data(), 1.0, n);
-    EXPECT_TRUE(BitsEqual(as, ad, "ScaleAddRow", n));
-
     as.assign(static_cast<size_t>(n), 0.0);
     ad.assign(static_cast<size_t>(n), 0.0);
     s->shift_row(x.data(), 0.375, as.data(), n);

@@ -241,36 +241,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Optimizers: convergence on closed-form problems.
+// Adam: convergence on closed-form problems.
 // ---------------------------------------------------------------------------
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  // minimize ||x - c||^2.
-  Var x = Var::Param(Tensor::Zeros(1, 3));
-  Tensor c(1, 3, std::vector<Scalar>{1.0, -2.0, 0.5});
-  Sgd opt({x}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    opt.ZeroGrad();
-    Backward(MseLoss(x, c));
-    opt.Step();
-  }
-  EXPECT_NEAR((x.value() - c).MaxAbs(), 0.0, 1e-4);
-}
-
-TEST(SgdTest, MomentumAcceleratesConvergence) {
-  Tensor c(1, 1, std::vector<Scalar>{3.0});
-  auto run = [&](double momentum) {
-    Var x = Var::Param(Tensor::Zeros(1, 1));
-    Sgd opt({x}, 0.01, momentum);
-    for (int i = 0; i < 50; ++i) {
-      opt.ZeroGrad();
-      Backward(MseLoss(x, c));
-      opt.Step();
-    }
-    return std::fabs(x.value().at(0, 0) - 3.0);
-  };
-  EXPECT_LT(run(0.9), run(0.0));
-}
 
 TEST(AdamTest, FitsLinearRegression) {
   Rng rng(12);
@@ -327,7 +299,7 @@ TEST(OptimizerTest, ClipGradNormBoundsGlobalNorm) {
   Var b = Var::Param(Tensor::Zeros(1, 2));
   Var loss = Sum(Add(Scale(a, 30.0), Scale(b, 40.0)));
   Backward(loss);
-  Sgd opt({a, b}, 1.0);
+  Adam opt({a, b}, 1.0);
   opt.ClipGradNorm(1.0);
   double norm_sq = a.grad().Dot(a.grad()) + b.grad().Dot(b.grad());
   EXPECT_NEAR(std::sqrt(norm_sq), 1.0, 1e-9);

@@ -587,46 +587,6 @@ TEST(BlockedMatMulTest, MatchesReferenceOnDenseAndSparseInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool::Submit (the future-returning half of the async layer).
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolSubmitTest, PropagatesValuesVoidAndExceptions) {
-  ThreadPool pool(4);
-  std::future<int> value = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(value.get(), 42);
-
-  std::atomic<bool> ran{false};
-  std::future<void> side_effect = pool.Submit([&] { ran.store(true); });
-  side_effect.get();
-  EXPECT_TRUE(ran.load());
-
-  std::future<int> boom =
-      pool.Submit([]() -> int { throw std::runtime_error("kaboom"); });
-  EXPECT_THROW(
-      {
-        try {
-          boom.get();
-        } catch (const std::runtime_error& e) {
-          EXPECT_STREQ(e.what(), "kaboom");
-          throw;
-        }
-      },
-      std::runtime_error);
-}
-
-TEST(ThreadPoolSubmitTest, RunsInlineOnSingleThreadPool) {
-  // A pool of 1 spawns no workers, so Submit must execute on the calling
-  // thread before returning — the serial fallback stays deterministic.
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::future<std::thread::id> where =
-      pool.Submit([] { return std::this_thread::get_id(); });
-  ASSERT_EQ(where.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(where.get(), caller);
-}
-
-// ---------------------------------------------------------------------------
 // TaskQueue: the bounded async queue behind the serve daemon.
 // ---------------------------------------------------------------------------
 
@@ -652,25 +612,6 @@ std::future<void> BlockWorker(parallel::TaskQueue& queue,
   return blocker;
 }
 
-TEST(TaskQueueTest, CancelBeforeExecutionThrowsTaskCancelledError) {
-  parallel::TaskQueue queue(1, 8);
-  std::atomic<bool> gate{false};
-  std::future<void> blocker = BlockWorker(queue, gate);
-
-  parallel::CancelToken token;
-  std::atomic<bool> cancelled_ran{false};
-  std::future<void> cancelled =
-      queue.Submit([&] { cancelled_ran.store(true); }, token);
-  std::future<int> survivor = queue.Submit([] { return 1; });
-  token.Cancel();
-
-  gate.store(true, std::memory_order_release);
-  blocker.get();
-  EXPECT_THROW(cancelled.get(), parallel::TaskCancelledError);
-  EXPECT_FALSE(cancelled_ran.load());
-  EXPECT_EQ(survivor.get(), 1);  // Cancellation only skips its own task.
-}
-
 TEST(TaskQueueTest, ShutdownDrainsAcceptedTasksInFifoOrder) {
   std::array<int, 5> order{};
   std::atomic<int> next{0};
@@ -686,27 +627,36 @@ TEST(TaskQueueTest, ShutdownDrainsAcceptedTasksInFifoOrder) {
     EXPECT_TRUE(queue.shutting_down());
     for (std::future<void>& f : accepted) f.get();  // None rejected.
 
-    // Admission is closed: blocking Submit rejects via the future,
-    // TrySubmit sheds the task outright.
+    // Admission is closed: Submit rejects via the future.
     std::future<int> rejected = queue.Submit([] { return 3; });
     EXPECT_THROW(rejected.get(), parallel::TaskRejectedError);
-    EXPECT_FALSE(queue.TrySubmit([] { return 4; }).has_value());
   }
   ASSERT_EQ(next.load(), 5);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);  // FIFO drain.
 }
 
-TEST(TaskQueueTest, TrySubmitShedsLoadWhenFull) {
+TEST(TaskQueueTest, SubmitBlocksWhileFullUntilASlotFrees) {
   parallel::TaskQueue queue(1, 1);
   std::atomic<bool> gate{false};
   std::future<void> blocker = BlockWorker(queue, gate);
-  std::optional<std::future<int>> accepted =
-      queue.TrySubmit([] { return 1; });
-  ASSERT_TRUE(accepted.has_value());  // Fills the single pending slot.
-  EXPECT_FALSE(queue.TrySubmit([] { return 2; }).has_value());
-  gate.store(true, std::memory_order_release);
+  std::future<int> first = queue.Submit([] { return 1; });  // Fills the slot.
+
+  std::atomic<bool> admitted{false};
+  std::future<int> second;
+  std::thread submitter([&] {
+    second = queue.Submit([] { return 2; });
+    admitted.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(admitted.load(std::memory_order_acquire));
+  EXPECT_EQ(queue.pending(), 1u);
+
+  gate.store(true, std::memory_order_release);  // The worker frees the slot.
+  submitter.join();
+  EXPECT_TRUE(admitted.load(std::memory_order_acquire));
   blocker.get();
-  EXPECT_EQ(accepted->get(), 1);
+  EXPECT_EQ(first.get(), 1);
+  EXPECT_EQ(second.get(), 2);
 }
 
 }  // namespace

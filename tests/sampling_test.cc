@@ -1,7 +1,7 @@
 // Tests for the sampling layer (AliasTable / TreeSampler / WeightedPick):
-// distribution agreement with Rng::WeightedChoice via chi-square, edge
-// cases (single entry, zero-weight tails, denormal totals — mirroring the
-// WeightedChoice drift-guard regression), the weight validation that
+// distribution agreement with the WeightedPick linear scan via chi-square,
+// edge cases (single entry, zero-weight tails, denormal totals — mirroring
+// the WeightedPick drift-guard regression), the weight validation that
 // guards load-time alias rebuilds, and 1/2/8-thread determinism sweeps
 // over every generation path that now runs on the new samplers.
 
@@ -64,7 +64,7 @@ TEST(AliasTableTest, SingleEntryAlwaysWins) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(table.Draw(rng), 0u);
 }
 
-TEST(AliasTableTest, ChiSquareAgreesWithWeightedChoice) {
+TEST(AliasTableTest, ChiSquareAgreesWithWeightedPick) {
   // Same fixed distribution, 60k draws each through the alias table and
   // the linear-scan reference; both must sit inside a generous chi-square
   // bound (df = 5, p = 0.001 critical value ~20.5).
@@ -72,14 +72,14 @@ TEST(AliasTableTest, ChiSquareAgreesWithWeightedChoice) {
   const int kDraws = 60000;
   AliasTable table(w);
   std::vector<int64_t> alias_counts(w.size(), 0);
-  std::vector<int64_t> choice_counts(w.size(), 0);
+  std::vector<int64_t> pick_counts(w.size(), 0);
   Rng rng_a(123), rng_b(123);
   for (int i = 0; i < kDraws; ++i) {
     ++alias_counts[table.Draw(rng_a)];
-    ++choice_counts[rng_b.WeightedChoice(w)];
+    ++pick_counts[WeightedPick(w, rng_b)];
   }
   EXPECT_LT(ChiSquare(alias_counts, w), 25.0);
-  EXPECT_LT(ChiSquare(choice_counts, w), 25.0);
+  EXPECT_LT(ChiSquare(pick_counts, w), 25.0);
 }
 
 TEST(AliasTableTest, ZeroWeightTailsAreNeverDrawn) {
@@ -94,7 +94,7 @@ TEST(AliasTableTest, ZeroWeightTailsAreNeverDrawn) {
 }
 
 TEST(AliasTableTest, DenormalTotalStaysOnPositiveEntry) {
-  // Mirror of the WeightedChoice drift-guard regression: a denormal total
+  // Mirror of the WeightedPick drift-guard regression: a denormal total
   // must still never surface a zero-weight index.
   const std::vector<double> w = {0.0, 1e-312};
   AliasTable table(w);
@@ -144,7 +144,7 @@ TEST(TreeSamplerTest, SingleEntryAlwaysWins) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(tree.Draw(rng), 0u);
 }
 
-TEST(TreeSamplerTest, ChiSquareAgreesWithWeightedChoice) {
+TEST(TreeSamplerTest, ChiSquareAgreesWithWeights) {
   const std::vector<double> w = {0.1, 2.0, 0.5, 3.3, 1e-3, 4.0};
   const int kDraws = 60000;
   TreeSampler tree(w);
@@ -211,27 +211,36 @@ TEST(TreeSamplerDeathTest, DrawFromConsumedTreeIsAProgrammingError) {
 }
 
 // ---------------------------------------------------------------------------
-// WeightedPick (the span twin of Rng::WeightedChoice).
+// WeightedPick (the one linear-scan weighted draw).
 // ---------------------------------------------------------------------------
 
-TEST(WeightedPickTest, MatchesWeightedChoiceOnTheSameStream) {
-  // Identical algorithm + identical Rng consumption: same seed, same
-  // sequence of picks. TIGGER/TGGAN draws switched from WeightedChoice on
-  // a copied row to WeightedPick on the row span, and this is the pin
-  // that the switch cannot change a single draw.
-  Rng init(77);
-  std::vector<double> w(129);
-  for (double& x : w) x = init.Uniform();
-  Rng rng_a(13), rng_b(13);
-  for (int i = 0; i < 4000; ++i)
-    ASSERT_EQ(WeightedPick(w, rng_a), rng_b.WeightedChoice(w)) << "pick " << i;
+TEST(WeightedPickTest, FollowsWeights) {
+  Rng rng(8);
+  std::vector<double> w = {1.0, 0.0, 3.0};
+  std::vector<int> seen(3, 0);
+  for (int i = 0; i < 8000; ++i) ++seen[WeightedPick(w, rng)];
+  EXPECT_EQ(seen[1], 0);
+  EXPECT_NEAR(static_cast<double>(seen[2]) / seen[0], 3.0, 0.5);
 }
 
 TEST(WeightedPickTest, DriftGuardFallsToLastPositiveWeight) {
-  // Mirror of the PR 4 WeightedChoice denormal-total regression.
-  std::vector<double> w = {0.0, 5e-324, 0.0};
-  Rng rng(1);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(WeightedPick(w, rng), 1u);
+  // With a min-denormal total, r = Uniform() * total rounds up to exactly
+  // `total` about half the time, so the accumulation loop falls through to
+  // the floating-point drift guard. The guard must return the last
+  // *positive*-weight index — a zero-weight entry marks a slot the caller
+  // already consumed (the without-replacement loops in generation), and
+  // returning it emits a duplicate edge.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::pair<std::vector<double>, size_t>> cases = {
+      {{0.0, denorm, 0.0}, 1u},
+      {{denorm, 0.0}, 0u},
+      {{0.0, denorm, 0.0, 0.0}, 1u},
+  };
+  for (const auto& [w, want] : cases) {
+    Rng rng(1);
+    for (int i = 0; i < 200; ++i)
+      EXPECT_EQ(WeightedPick(w, rng), want) << "draw " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 #include "core/tgat_encoder.h"
 
+#include <cstring>
+#include <numeric>
+#include <vector>
+
 #include "datasets/synthetic.h"
 #include "graph/bipartite.h"
 #include "gtest/gtest.h"
 #include "metrics/degree_mmd.h"
 #include "nn/gradcheck.h"
+#include "parallel/thread_pool.h"
 
 namespace tgsim::core {
 namespace {
@@ -28,7 +33,8 @@ TEST(TgatLayerTest, OutputShapeMatchesTargets) {
   TgatLayer layer(rng, 16, 24, 3);
   nn::Var src = nn::Var::Constant(nn::Tensor::Randn(
       rng, static_cast<int>(stack.layer_nodes[2].size()), 16));
-  nn::Var out = layer.Forward(src, stack.layers[1], stack.copy_in_next[1]);
+  nn::Var out = layer.Forward(
+      src, stack.layers[1], static_cast<int>(stack.layer_nodes[1].size()));
   EXPECT_EQ(out.rows(), static_cast<int>(stack.layer_nodes[1].size()));
   EXPECT_EQ(out.cols(), 24);
 }
@@ -41,10 +47,104 @@ TEST(TgatLayerTest, GradCheckThroughAttention) {
   nn::Tensor src = nn::Tensor::Randn(
       rng, static_cast<int>(stack.layer_nodes[1].size()), 6, 0.5);
   nn::GradCheckResult res = nn::CheckGradients(layer.params(), [&]() {
-    return nn::Sum(nn::Square(layer.Forward(
-        nn::Var::Constant(src), stack.layers[0], stack.copy_in_next[0])));
+    return nn::Sum(nn::Square(
+        layer.Forward(nn::Var::Constant(src), stack.layers[0],
+                      static_cast<int>(stack.layer_nodes[0].size()))));
   });
   EXPECT_TRUE(res.ok) << res.max_rel_error;
+}
+
+bool BitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  if (a.size() == 0) return true;
+  return std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(nn::Scalar)) == 0;
+}
+
+/// The per-head attention composition with the query fetched through an
+/// identity row gather, `GatherRows(proj, iota(n_dst))`, spelled out from a
+/// TgatLayer's parameters (w_0, a_0, ..., w_{H-1}, a_{H-1}, w_out). Its
+/// backward gives each projection row its target-gather terms before its
+/// source-gather terms; the layer must keep that order.
+nn::Var IdentityQueryComposition(const std::vector<nn::Var>& params,
+                                 int num_heads, const nn::Var& src,
+                                 const graphs::BipartiteLayer& edges,
+                                 int n_dst) {
+  std::vector<nn::Var> w_head, a_head;
+  for (int h = 0; h < num_heads; ++h) {
+    w_head.push_back(params[static_cast<size_t>(2 * h)]);
+    a_head.push_back(params[static_cast<size_t>(2 * h + 1)]);
+  }
+  const nn::Var& w_out = params[static_cast<size_t>(2 * num_heads)];
+  const int head_dim = w_head[0].cols();
+  nn::Var proj_all = num_heads == 1 ? nn::MatMul(src, w_head[0])
+                                    : nn::MatMul(src, nn::ConcatCols(w_head));
+  std::vector<int> identity(static_cast<size_t>(n_dst));
+  std::iota(identity.begin(), identity.end(), 0);
+  std::vector<nn::Var> heads;
+  for (int h = 0; h < num_heads; ++h) {
+    nn::Var proj = num_heads == 1 ? proj_all
+                                  : nn::SliceCols(proj_all, h * head_dim,
+                                                  (h + 1) * head_dim);
+    nn::Var q_dst = nn::GatherRows(proj, identity);
+    nn::Var hs = nn::GatherRows(proj, edges.src);
+    nn::Var hd = nn::GatherRows(q_dst, edges.dst);
+    nn::Var scores = nn::LeakyRelu(
+        nn::MatMul(nn::ConcatCols({hs, hd}), a_head[static_cast<size_t>(h)]),
+        0.2);
+    nn::Var alpha = nn::SegmentSoftmax(scores, edges.dst, n_dst);
+    nn::Var agg =
+        nn::SegmentSum(nn::MulColBroadcast(hs, alpha), edges.dst, n_dst);
+    heads.push_back(nn::LeakyRelu(agg, 0.2));
+  }
+  nn::Var cat = heads.size() == 1 ? heads[0] : nn::ConcatCols(heads);
+  return nn::MatMul(cat, w_out);
+}
+
+TEST(TgatLayerTest, MatchesIdentityQueryGatherCompositionBitForBit) {
+  graphs::TemporalGraph g = datasets::MakeMimicByName("DBLP", 0.05, 13);
+  struct GlobalThreadsGuard {
+    ~GlobalThreadsGuard() {
+      parallel::ThreadPool::SetGlobalThreads(
+          parallel::ThreadPool::DefaultNumThreads());
+    }
+  } guard;
+  for (int num_heads : {1, 2}) {
+    Rng rng(6);
+    graphs::BipartiteStack stack = MakeStack(2, 32, g, rng);
+    const graphs::BipartiteLayer& edges = stack.layers[1];
+    const int n_src = static_cast<int>(stack.layer_nodes[2].size());
+    const int n_dst = static_cast<int>(stack.layer_nodes[1].size());
+    TgatLayer layer(rng, 16, 16, num_heads);
+    nn::Var src = nn::Var::Param(nn::Tensor::Randn(rng, n_src, 16));
+    const nn::Var out_weights =
+        nn::Var::Constant(nn::Tensor::Randn(rng, n_dst, 16));
+    // Output, then every parameter gradient, then the input gradient.
+    auto run = [&](auto forward) {
+      for (nn::Var& p : layer.params()) p.ZeroGrad();
+      src.ZeroGrad();
+      nn::Var out = forward();
+      nn::Backward(nn::Sum(nn::Mul(out, out_weights)));
+      std::vector<nn::Tensor> got = {out.value()};
+      for (const nn::Var& p : layer.params()) got.push_back(p.grad());
+      got.push_back(src.grad());
+      return got;
+    };
+    for (int threads : {1, 2, 8}) {
+      parallel::ThreadPool::SetGlobalThreads(threads);
+      const std::vector<nn::Tensor> want = run([&] {
+        return IdentityQueryComposition(layer.params(), num_heads, src, edges,
+                                        n_dst);
+      });
+      const std::vector<nn::Tensor> got =
+          run([&] { return layer.Forward(src, edges, n_dst); });
+      ASSERT_EQ(want.size(), got.size());
+      for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(BitIdentical(want[i], got[i]))
+            << "tensor " << i << " (0 = output, last = input gradient), "
+            << num_heads << " heads, " << threads << " threads";
+    }
+  }
 }
 
 TEST(TgatEncoderTest, ProducesCenterFeatures) {

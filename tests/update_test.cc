@@ -225,6 +225,39 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// eval::UpdateArtifact: the update rule `tgsim update` and the daemon share.
+// ---------------------------------------------------------------------------
+
+TEST(UpdateArtifactTest, CountsOneUpdateAndLeavesTheLineageOnError) {
+  graphs::TemporalGraph observed = Observed();
+  const int split = observed.num_timestamps() / 2;
+  eval::LoadedArtifact artifact;
+  artifact.method = "E-R";
+  artifact.generator = MakeFast("E-R");
+  Rng fit_rng(3);
+  artifact.generator->Fit(Half(observed, split, true), fit_rng);
+  artifact.lineage.base_fit_seed = 3;
+
+  graphs::TemporalGraph more_nodes = graphs::TemporalGraph::FromEdges(
+      observed.num_nodes() + 1, observed.num_timestamps(), {{0, 1, 0}});
+  EXPECT_EQ(eval::UpdateArtifact(artifact, more_nodes, 7).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(artifact.lineage.base_fit_seed, 3u);
+  EXPECT_EQ(artifact.lineage.update_count, 0);
+  EXPECT_EQ(artifact.lineage.update_epochs, 0);
+
+  for (int64_t n = 1; n <= 2; ++n) {
+    Status updated =
+        eval::UpdateArtifact(artifact, Half(observed, split, false), 7);
+    ASSERT_TRUE(updated.ok()) << updated.ToString();
+    EXPECT_EQ(artifact.lineage.base_fit_seed, 3u);
+    EXPECT_EQ(artifact.lineage.update_count, n);
+    EXPECT_EQ(artifact.lineage.update_epochs,
+              n * baselines::kUpdateWarmSnapshotLimit);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Registry flag and the default Update.
 // ---------------------------------------------------------------------------
 

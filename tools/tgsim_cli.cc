@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/state_io.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "config/param_map.h"
@@ -571,20 +570,18 @@ int RunUpdate(const ParsedArgs& args) {
   }
   PrintGraphShape("delta", delta.value());
 
-  // The fit stream backs the warm start, so a serve-side update with the
-  // same artifact, delta and seed lands on the identical model state.
+  // The serve daemon's update runs the same rule, so it lands on the
+  // identical model state for the same artifact, delta and seed.
   Stopwatch update_watch;
-  Rng rng = eval::MakeSeedStreams(static_cast<uint64_t>(seed.value())).fit;
-  Status updated = loaded.value().generator->Update(delta.value(), rng);
+  Status updated = eval::UpdateArtifact(
+      loaded.value(), delta.value(), static_cast<uint64_t>(seed.value()));
   if (!updated.ok()) {
     std::fprintf(stderr, "error: %s\n", updated.ToString().c_str());
     return 1;
   }
   double update_s = update_watch.ElapsedSeconds();
 
-  eval::UpdateLineage lineage = loaded.value().lineage;
-  lineage.update_count += 1;
-  lineage.update_epochs += baselines::kUpdateWarmSnapshotLimit;
+  const eval::UpdateLineage& lineage = loaded.value().lineage;
   Status save =
       eval::SaveArtifact(*loaded.value().generator, loaded.value().method,
                          loaded.value().params, *output, lineage);
