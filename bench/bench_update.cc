@@ -11,8 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,26 +58,32 @@ std::unique_ptr<baselines::TemporalGraphGenerator> MakeFast(
   return std::move(gen).value();
 }
 
-/// The serve-side refresh: restore the fitted artifact state, then
+/// The serve-side refresh: restore the fitted state from its file, then
 /// Update(delta). State restore is in the timed region because the
-/// daemon's update rebuilds from the artifact on disk every time.
+/// daemon's update rebuilds from the artifact on disk every time; a score
+/// state large enough for the blocks format mmaps them from that file.
 void UpdateFromState(benchmark::State& state, const std::string& method) {
   graphs::TemporalGraph delta = HalfStream(false);
   auto fitted = MakeFast(method);
   Rng fit_rng(17);
   fitted->Fit(HalfStream(true), fit_rng);
-  std::ostringstream saved;
-  TGSIM_CHECK(fitted->SaveState(saved).ok());
-  const std::string bytes = std::move(saved).str();
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("bench_update_" + method + ".state"))
+                               .string();
+  {
+    std::ofstream out(path);
+    TGSIM_CHECK(fitted->SaveState(out).ok());
+  }
 
   for (auto _ : state) {
     auto gen = MakeFast(method);
-    std::istringstream in(bytes);
-    TGSIM_CHECK(gen->LoadState(in).ok());
+    std::ifstream in(path);
+    TGSIM_CHECK(gen->LoadState(in, path).ok());
     Rng rng(17);
     TGSIM_CHECK(gen->Update(delta, rng).ok());
     benchmark::DoNotOptimize(gen);
   }
+  std::filesystem::remove(path);
   state.SetItemsProcessed(state.iterations() * delta.num_edges());
 }
 

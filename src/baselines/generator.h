@@ -49,37 +49,33 @@ class TemporalGraphGenerator {
   /// their support structures and rebuild the fitted samplers
   /// deterministically; learning-based methods take a bounded number of
   /// warm-start steps on recency-biased snapshots. An empty delta is a
-  /// no-op. The default reports Unimplemented so custom registrations
-  /// without an incremental path still construct and run; every built-in
-  /// method overrides it.
-  virtual Status Update(const graphs::TemporalGraph& delta, Rng& rng);
+  /// no-op.
+  virtual Status Update(const graphs::TemporalGraph& delta, Rng& rng) = 0;
 
   /// Serializes the fitted state (graph shape, fitted distributions,
   /// trained weights) as one serialize::ArchiveWriter archive, leaving the
-  /// stream positioned after it. Requires a prior Fit(). Every built-in
-  /// method implements the pair; the default is an InvalidArgument so
-  /// custom registrations without persistence still construct and run.
-  virtual Status SaveState(std::ostream& out) const;
+  /// stream positioned after it. Requires a prior Fit().
+  virtual Status SaveState(std::ostream& out) const = 0;
 
   /// Restores the state written by SaveState into a generator constructed
   /// with the same configuration. Reconstructs everything Generate()
   /// needs without access to the training graph: a loaded generator's
   /// Generate(seed) is bit-identical to the fitted original's.
-  virtual Status LoadState(std::istream& in);
+  virtual Status LoadState(std::istream& in) = 0;
 
-  /// Path-aware LoadState overload: `path` names the file `in` reads from
-  /// ("" when the state only exists in memory). Methods whose state
-  /// carries a trailing binary payload (the score methods' BlockFile)
-  /// override this to mmap blocks from `path` on demand instead of
-  /// materializing them; the default delegates to the 1-arg form, so
-  /// existing methods need no change.
-  virtual Status LoadState(std::istream& in, const std::string& path);
+  /// LoadState of a state stored in the file `path`, which `in` reads.
+  /// Only the score-matrix methods use the path: a large score state ends
+  /// in a BlockFile whose blocks they mmap from `path` on demand, and
+  /// without a file that state is InvalidArgument. Every other method
+  /// restores from the stream alone.
+  virtual Status LoadState(std::istream& in, const std::string& /*path*/) {
+    return LoadState(in);
+  }
 
-  /// Bytes of fitted state held resident in memory, or -1 when the method
-  /// does not track it (callers fall back to the artifact file size). The
-  /// serve ModelCache charges its byte budget with this, so an mmap-backed
-  /// score model is billed for its bookkeeping, not its on-disk blocks.
-  virtual int64_t ResidentStateBytes() const { return -1; }
+  /// Bytes of fitted state held resident in memory. The serve ModelCache
+  /// charges its byte budget with this, so an mmap-backed score model is
+  /// billed for its bookkeeping, not its on-disk blocks.
+  virtual int64_t ResidentStateBytes() const = 0;
 
   /// Whether the method trains a neural model (the paper separates simple
   /// model-based from learning-based approaches; E-R/B-A report no GPU

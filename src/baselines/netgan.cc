@@ -18,23 +18,12 @@ void NetGanConfig::DefineParams(config::ParamBinder& binder) {
 
 TGSIM_CONFIG_IMPLEMENT_PARAMS(NetGanConfig)
 
-NetGanGenerator::NetGanGenerator(NetGanConfig config) : config_(config) {}
-
-void NetGanGenerator::Fit(const graphs::TemporalGraph& observed, Rng& rng) {
-  shape_.CaptureFrom(observed);
-  // Fit-once/serve-many: every snapshot model trains here, and only the
-  // resulting sparse score rows are kept — Generate never sees the
-  // training graph again.
-  FitScoresPerSnapshot(
-      observed, shape_, config_.score_topk, store_,
-      [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, rng);
-      });
-}
+NetGanGenerator::NetGanGenerator(NetGanConfig config)
+    : ScoreMatrixGenerator(config.score_topk), config_(config) {}
 
 SnapshotScores NetGanGenerator::FitSnapshotScores(
     const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const {
-  const int n = shape_.num_nodes;
+  const int n = num_nodes();
   // Active nodes: endpoints of non-self-loop edges — exactly the nodes
   // with positive degree in the snapshot's simple adjacency. Training
   // runs on the active submatrix only; generation scatters back.
@@ -110,36 +99,6 @@ SnapshotScores NetGanGenerator::FitSnapshotScores(
   }
   out.active = std::move(active);
   return out;
-}
-
-graphs::TemporalGraph NetGanGenerator::Generate(Rng& rng) const {
-  return GenerateFromScores(shape_, store_, rng);
-}
-
-Status NetGanGenerator::Update(const graphs::TemporalGraph& delta, Rng& rng) {
-  return UpdateScoresForDelta(
-      delta, shape_, store_, config_.score_topk, kUpdateWarmSnapshotLimit,
-      rng, name(), [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, rng);
-      });
-}
-
-Status NetGanGenerator::SaveState(std::ostream& out) const {
-  return SaveScoreState(shape_, store_, config_.score_topk, out, name());
-}
-
-Status NetGanGenerator::LoadState(std::istream& in) {
-  return LoadState(in, "");
-}
-
-Status NetGanGenerator::LoadState(std::istream& in, const std::string& path) {
-  return LoadScoreState(shape_, store_, in, path);
-}
-
-int64_t NetGanGenerator::ResidentStateBytes() const {
-  return static_cast<int64_t>(sizeof(*this)) + store_.ResidentBytes() +
-         static_cast<int64_t>(shape_.edges_per_timestamp.capacity() *
-                              sizeof(int64_t));
 }
 
 }  // namespace tgsim::baselines

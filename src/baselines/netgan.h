@@ -3,11 +3,8 @@
 
 #include <vector>
 
-#include "baselines/generator.h"
 #include "baselines/state_io.h"
 #include "config/param_map.h"
-#include "nn/tensor.h"
-#include "storage/score_store.h"
 
 namespace tgsim::baselines {
 
@@ -35,18 +32,11 @@ struct NetGanConfig {
 /// trains every snapshot model and keeps only the resulting sparse score
 /// rows — the fitted distributions — so Generate() is a cheap sampling
 /// pass and the whole state ships through SaveState/LoadState.
-class NetGanGenerator : public TemporalGraphGenerator {
+class NetGanGenerator : public ScoreMatrixGenerator {
  public:
   explicit NetGanGenerator(NetGanConfig config = {});
 
   std::string name() const override { return "NetGAN"; }
-  void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) const override;
-  Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
-  Status SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-  Status LoadState(std::istream& in, const std::string& path) override;
-  int64_t ResidentStateBytes() const override;
 
   /// Dense n x n score matrix per trained snapshot + per-timestamp walk
   /// buffers; reproduces the paper's OOM pattern (BITCOIN-* and UBUNTU out,
@@ -61,13 +51,10 @@ class NetGanGenerator : public TemporalGraphGenerator {
   /// Fits the low-rank transition model for one snapshot and returns the
   /// active-node score submatrix.
   SnapshotScores FitSnapshotScores(
-      const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const;
+      const std::vector<graphs::TemporalEdge>& edges,
+      Rng& rng) const override;
 
   NetGanConfig config_;
-  ObservedShape shape_;
-  /// Fitted sparse score rows per timestamp (absent where the snapshot
-  /// has no edges). This is the complete generative state.
-  storage::ScoreStore store_;
 };
 
 }  // namespace tgsim::baselines

@@ -22,31 +22,12 @@ void SbmGnnConfig::DefineParams(config::ParamBinder& binder) {
 
 TGSIM_CONFIG_IMPLEMENT_PARAMS(SbmGnnConfig)
 
-SbmGnnGenerator::SbmGnnGenerator(SbmGnnConfig config) : config_(config) {}
-
-void SbmGnnGenerator::Fit(const graphs::TemporalGraph& observed, Rng& rng) {
-  shape_.CaptureFrom(observed);
-  // Fit-once/serve-many: every snapshot model trains here, and only the
-  // decoded sparse score rows are kept — Generate never sees the
-  // training graph again.
-  FitScoresPerSnapshot(
-      observed, shape_, config_.score_topk, store_,
-      [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, rng);
-      });
-}
-
-Status SbmGnnGenerator::Update(const graphs::TemporalGraph& delta, Rng& rng) {
-  return UpdateScoresForDelta(
-      delta, shape_, store_, config_.score_topk, kUpdateWarmSnapshotLimit,
-      rng, name(), [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, rng);
-      });
-}
+SbmGnnGenerator::SbmGnnGenerator(SbmGnnConfig config)
+    : ScoreMatrixGenerator(config.score_topk), config_(config) {}
 
 SnapshotScores SbmGnnGenerator::FitSnapshotScores(
     const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const {
-  const int n = shape_.num_nodes;
+  const int n = num_nodes();
   std::vector<int> active;
   {
     std::vector<bool> seen(static_cast<size_t>(n), false);
@@ -117,29 +98,6 @@ SnapshotScores SbmGnnGenerator::FitSnapshotScores(
   }
   out.active = std::move(active);
   return out;
-}
-
-graphs::TemporalGraph SbmGnnGenerator::Generate(Rng& rng) const {
-  return GenerateFromScores(shape_, store_, rng);
-}
-
-Status SbmGnnGenerator::SaveState(std::ostream& out) const {
-  return SaveScoreState(shape_, store_, config_.score_topk, out, name());
-}
-
-Status SbmGnnGenerator::LoadState(std::istream& in) {
-  return LoadState(in, "");
-}
-
-Status SbmGnnGenerator::LoadState(std::istream& in,
-                                  const std::string& path) {
-  return LoadScoreState(shape_, store_, in, path);
-}
-
-int64_t SbmGnnGenerator::ResidentStateBytes() const {
-  return static_cast<int64_t>(sizeof(*this)) + store_.ResidentBytes() +
-         static_cast<int64_t>(shape_.edges_per_timestamp.capacity() *
-                              sizeof(int64_t));
 }
 
 }  // namespace tgsim::baselines

@@ -3,11 +3,8 @@
 
 #include <vector>
 
-#include "baselines/generator.h"
 #include "baselines/state_io.h"
 #include "config/param_map.h"
-#include "nn/tensor.h"
-#include "storage/score_store.h"
 
 namespace tgsim::baselines {
 
@@ -31,18 +28,11 @@ struct SbmGnnConfig {
 /// learnable block affinity matrix B couples blocks, and the decoded edge
 /// probability is sigmoid(Phi B Phi^T). Static method, applied per snapshot
 /// like VGAE.
-class SbmGnnGenerator : public TemporalGraphGenerator {
+class SbmGnnGenerator : public ScoreMatrixGenerator {
  public:
   explicit SbmGnnGenerator(SbmGnnConfig config = {});
 
   std::string name() const override { return "SBMGNN"; }
-  void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) const override;
-  Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
-  Status SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-  Status LoadState(std::istream& in, const std::string& path) override;
-  int64_t ResidentStateBytes() const override;
 
   int64_t EstimatePaperMemoryBytes(int64_t n, int64_t /*m*/,
                                    int64_t /*t*/) const override {
@@ -51,13 +41,10 @@ class SbmGnnGenerator : public TemporalGraphGenerator {
 
  private:
   SnapshotScores FitSnapshotScores(
-      const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const;
+      const std::vector<graphs::TemporalEdge>& edges,
+      Rng& rng) const override;
 
   SbmGnnConfig config_;
-  ObservedShape shape_;
-  /// Fitted sparse score rows per timestamp (absent where the snapshot
-  /// has no edges). This is the complete generative state.
-  storage::ScoreStore store_;
 };
 
 }  // namespace tgsim::baselines

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -33,29 +32,6 @@ bool FitsInt(int64_t value) {
 }
 
 }  // namespace
-
-Status TemporalGraphGenerator::SaveState(std::ostream& /*out*/) const {
-  return Status::InvalidArgument("method '" + name() +
-                                 "' does not implement state serialization");
-}
-
-Status TemporalGraphGenerator::LoadState(std::istream& /*in*/) {
-  return Status::InvalidArgument("method '" + name() +
-                                 "' does not implement state serialization");
-}
-
-Status TemporalGraphGenerator::LoadState(std::istream& in,
-                                         const std::string& /*path*/) {
-  // Default: the path is only a hint for methods that page state from
-  // disk; everyone else restores entirely from the stream.
-  return LoadState(in);
-}
-
-Status TemporalGraphGenerator::Update(const graphs::TemporalGraph& /*delta*/,
-                                      Rng& /*rng*/) {
-  return Status::Unimplemented("method '" + name() +
-                               "' does not implement incremental update");
-}
 
 Status RequireFitted(bool fitted, const std::string& method) {
   if (fitted) return Status::Ok();
@@ -253,6 +229,40 @@ Result<graphs::TemporalGraph> ReadSupportGraph(
                                           std::move(edges));
 }
 
+void ShapeOnlyGenerator::Fit(const graphs::TemporalGraph& observed,
+                             Rng& /*rng*/) {
+  shape_.CaptureFrom(observed);
+}
+
+Status ShapeOnlyGenerator::Update(const graphs::TemporalGraph& delta,
+                                  Rng& /*rng*/) {
+  Status ok = RequireUpdatable(shape_.num_nodes > 0, delta, shape_, name());
+  if (!ok.ok()) return ok;
+  MergeDeltaShape(shape_, delta);
+  return Status::Ok();
+}
+
+Status ShapeOnlyGenerator::SaveState(std::ostream& out) const {
+  Status fitted = RequireFitted(shape_.num_nodes > 0, name());
+  if (!fitted.ok()) return fitted;
+  serialize::ArchiveWriter writer(out);
+  WriteShape(writer, shape_);
+  return writer.Finish();
+}
+
+Status ShapeOnlyGenerator::LoadState(std::istream& in) {
+  Result<serialize::ArchiveReader> reader =
+      serialize::ArchiveReader::Parse(in);
+  if (!reader.ok()) return reader.status();
+  return ReadShape(reader.value(), shape_);
+}
+
+int64_t ShapeOnlyGenerator::ResidentStateBytes() const {
+  return static_cast<int64_t>(sizeof(*this)) +
+         static_cast<int64_t>(shape_.edges_per_timestamp.capacity() *
+                              sizeof(int64_t));
+}
+
 Status SaveScoreState(const ObservedShape& shape,
                       const storage::ScoreStore& store, int64_t score_topk,
                       std::ostream& out, const std::string& method) {
@@ -348,6 +358,11 @@ Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
       loaded_store.Set(t, std::move(rows).value());
     }
   } else if (format.value() == "blocks") {
+    if (path.empty()) {
+      return Status::InvalidArgument(
+          "a blocks-format score state is read from its file; this one "
+          "has no path");
+    }
     // ArchiveReader::Parse extracts the final "end" token with >> and
     // leaves its trailing newline in the stream; the block writer took
     // its base offset *after* that newline, so consume it here.
@@ -360,21 +375,10 @@ Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
       return Status::IoError(
           "corrupt archive: cannot locate the score block payload");
     }
-    Result<storage::BlockFileReader> blocks = Status::Internal("unset");
-    if (path.empty()) {
-      // No backing file (in-memory stream): buffer the payload. Loses
-      // the out-of-core property but keeps the format readable.
-      std::istreambuf_iterator<char> first(in);
-      std::istreambuf_iterator<char> last;
-      std::string payload(first, last);
-      blocks = storage::BlockFileReader::FromBuffer(
-          payload, static_cast<int64_t>(base));
-    } else {
-      blocks = storage::BlockFileReader::OpenFile(
-          path, static_cast<int64_t>(base));
-      // The stream contract leaves `in` past the state either way.
-      in.seekg(0, std::ios::end);
-    }
+    Result<storage::BlockFileReader> blocks =
+        storage::BlockFileReader::OpenFile(path, static_cast<int64_t>(base));
+    // The stream contract leaves `in` past the state.
+    in.seekg(0, std::ios::end);
     if (!blocks.ok()) return blocks.status();
     Status names = CheckScoreBlockNames(blocks.value(), loaded);
     if (!names.ok()) return names;
@@ -404,94 +408,6 @@ Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
   return Status::Ok();
 }
 
-void FitScoresPerSnapshot(
-    const graphs::TemporalGraph& observed, const ObservedShape& shape,
-    int64_t score_topk, storage::ScoreStore& store,
-    const std::function<SnapshotScores(
-        const std::vector<graphs::TemporalEdge>&)>& fit_snapshot) {
-  store.Reset(shape.num_timestamps);
-  for (int t = 0; t < shape.num_timestamps; ++t) {
-    if (shape.edges_per_timestamp[static_cast<size_t>(t)] == 0) continue;
-    auto span = observed.EdgesAt(static_cast<graphs::Timestamp>(t));
-    std::vector<graphs::TemporalEdge> snap(span.begin(), span.end());
-    SnapshotScores fitted = fit_snapshot(snap);
-    store.Set(t,
-              storage::SparseScoreRows::FromSubmatrix(
-                  shape.num_nodes, fitted.active, fitted.scores, score_topk));
-  }
-}
-
-Status UpdateScoresForDelta(
-    const graphs::TemporalGraph& delta, ObservedShape& shape,
-    storage::ScoreStore& store, int64_t score_topk, int max_warm_snapshots,
-    Rng& rng, const std::string& method,
-    const std::function<SnapshotScores(
-        const std::vector<graphs::TemporalEdge>&)>& fit_snapshot) {
-  Status ok = RequireUpdatable(shape.num_nodes > 0, delta, shape, method);
-  if (!ok.ok()) return ok;
-  if (delta.num_edges() == 0) return Status::Ok();
-
-  const std::vector<int64_t> delta_per_t = delta.EdgesPerTimestamp();
-  std::vector<int> fresh;    // first edges at t: rows fitted from scratch
-  std::vector<int> touched;  // already fitted at t: warm-start candidates
-  for (size_t t = 0; t < delta_per_t.size(); ++t) {
-    if (delta_per_t[t] == 0) continue;
-    if (shape.edges_per_timestamp[t] == 0)
-      fresh.push_back(static_cast<int>(t));
-    else
-      touched.push_back(static_cast<int>(t));
-  }
-
-  // A block-backed store pages rows from the artifact file; updating
-  // replaces rows, so rematerialize the snapshots resident first.
-  if (store.block_backed()) {
-    storage::ScoreStore resident;
-    resident.Reset(shape.num_timestamps);
-    for (int t = 0; t < shape.num_timestamps; ++t) {
-      if (!store.has(t)) continue;
-      const storage::ScoreStore::Lease lease = store.Snapshot(t);
-      resident.Set(t, storage::SparseScoreRows::CopyOf(lease.view));
-    }
-    store = std::move(resident);
-  }
-
-  auto snapshot_edges = [&delta](int t) {
-    auto span = delta.EdgesAt(static_cast<graphs::Timestamp>(t));
-    return std::vector<graphs::TemporalEdge>(span.begin(), span.end());
-  };
-  // Snapshots gaining their first edges must be fitted: Generate requires
-  // rows wherever the merged edge budget is positive.
-  for (int t : fresh) {
-    SnapshotScores fitted = fit_snapshot(snapshot_edges(t));
-    store.Set(t,
-              storage::SparseScoreRows::FromSubmatrix(
-                  shape.num_nodes, fitted.active, fitted.scores, score_topk));
-  }
-  // Previously-fitted snapshots take a bounded warm start, most recent
-  // first; unselected ones keep their rows (only their budget grows).
-  for (int t : SampleRecentSnapshots(touched, max_warm_snapshots,
-                                     shape.num_timestamps, rng)) {
-    SnapshotScores fitted = fit_snapshot(snapshot_edges(t));
-    const storage::SparseScoreRows delta_rows =
-        storage::SparseScoreRows::FromSubmatrix(
-            shape.num_nodes, fitted.active, fitted.scores, score_topk);
-    storage::SparseScoreRows merged;
-    {
-      const storage::ScoreStore::Lease lease = store.Snapshot(t);
-      merged = storage::SparseScoreRows::WeightedMerge(
-          lease.view,
-          static_cast<double>(
-              shape.edges_per_timestamp[static_cast<size_t>(t)]),
-          delta_rows.View(),
-          static_cast<double>(delta_per_t[static_cast<size_t>(t)]),
-          score_topk);
-    }
-    store.Set(t, std::move(merged));
-  }
-  MergeDeltaShape(shape, delta);
-  return Status::Ok();
-}
-
 graphs::TemporalGraph GenerateFromScores(const ObservedShape& shape,
                                          const storage::ScoreStore& store,
                                          Rng& rng) {
@@ -509,6 +425,106 @@ graphs::TemporalGraph GenerateFromScores(const ObservedShape& shape,
   return graphs::TemporalGraph::FromEdges(shape.num_nodes,
                                           shape.num_timestamps,
                                           std::move(out));
+}
+
+storage::SparseScoreRows ScoreMatrixGenerator::FitSnapshotRows(
+    const graphs::TemporalGraph& graph, int t, Rng& rng) const {
+  auto span = graph.EdgesAt(static_cast<graphs::Timestamp>(t));
+  SnapshotScores fitted = FitSnapshotScores(
+      std::vector<graphs::TemporalEdge>(span.begin(), span.end()), rng);
+  return storage::SparseScoreRows::FromSubmatrix(
+      shape_.num_nodes, fitted.active, fitted.scores, score_topk_);
+}
+
+void ScoreMatrixGenerator::Fit(const graphs::TemporalGraph& observed,
+                               Rng& rng) {
+  shape_.CaptureFrom(observed);
+  // Fit-once/serve-many: every snapshot model trains here, and only the
+  // resulting sparse score rows are kept — Generate never sees the
+  // training graph again.
+  store_.Reset(shape_.num_timestamps);
+  for (int t = 0; t < shape_.num_timestamps; ++t) {
+    if (shape_.edges_per_timestamp[static_cast<size_t>(t)] == 0) continue;
+    store_.Set(t, FitSnapshotRows(observed, t, rng));
+  }
+}
+
+Status ScoreMatrixGenerator::Update(const graphs::TemporalGraph& delta,
+                                    Rng& rng) {
+  Status ok = RequireUpdatable(shape_.num_nodes > 0, delta, shape_, name());
+  if (!ok.ok()) return ok;
+  if (delta.num_edges() == 0) return Status::Ok();
+
+  const std::vector<int64_t> delta_per_t = delta.EdgesPerTimestamp();
+  std::vector<int> fresh;    // first edges at t: rows fitted from scratch
+  std::vector<int> touched;  // already fitted at t: warm-start candidates
+  for (size_t t = 0; t < delta_per_t.size(); ++t) {
+    if (delta_per_t[t] == 0) continue;
+    if (shape_.edges_per_timestamp[t] == 0)
+      fresh.push_back(static_cast<int>(t));
+    else
+      touched.push_back(static_cast<int>(t));
+  }
+
+  // A block-backed store pages rows from the artifact file; updating
+  // replaces rows, so rematerialize the snapshots resident first.
+  if (store_.block_backed()) {
+    storage::ScoreStore resident;
+    resident.Reset(shape_.num_timestamps);
+    for (int t = 0; t < shape_.num_timestamps; ++t) {
+      if (!store_.has(t)) continue;
+      const storage::ScoreStore::Lease lease = store_.Snapshot(t);
+      resident.Set(t, storage::SparseScoreRows::CopyOf(lease.view));
+    }
+    store_ = std::move(resident);
+  }
+
+  // Snapshots gaining their first edges must be fitted: Generate requires
+  // rows wherever the merged edge budget is positive.
+  for (int t : fresh) store_.Set(t, FitSnapshotRows(delta, t, rng));
+  // Previously-fitted snapshots take a bounded warm start, most recent
+  // first; unselected ones keep their rows (only their budget grows).
+  for (int t : SampleRecentSnapshots(touched, kUpdateWarmSnapshotLimit,
+                                     shape_.num_timestamps, rng)) {
+    const storage::SparseScoreRows delta_rows = FitSnapshotRows(delta, t, rng);
+    storage::SparseScoreRows merged;
+    {
+      const storage::ScoreStore::Lease lease = store_.Snapshot(t);
+      merged = storage::SparseScoreRows::WeightedMerge(
+          lease.view,
+          static_cast<double>(
+              shape_.edges_per_timestamp[static_cast<size_t>(t)]),
+          delta_rows.View(),
+          static_cast<double>(delta_per_t[static_cast<size_t>(t)]),
+          score_topk_);
+    }
+    store_.Set(t, std::move(merged));
+  }
+  MergeDeltaShape(shape_, delta);
+  return Status::Ok();
+}
+
+graphs::TemporalGraph ScoreMatrixGenerator::Generate(Rng& rng) const {
+  return GenerateFromScores(shape_, store_, rng);
+}
+
+Status ScoreMatrixGenerator::SaveState(std::ostream& out) const {
+  return SaveScoreState(shape_, store_, score_topk_, out, name());
+}
+
+Status ScoreMatrixGenerator::LoadState(std::istream& in) {
+  return LoadState(in, "");
+}
+
+Status ScoreMatrixGenerator::LoadState(std::istream& in,
+                                       const std::string& path) {
+  return LoadScoreState(shape_, store_, in, path);
+}
+
+int64_t ScoreMatrixGenerator::ResidentStateBytes() const {
+  return static_cast<int64_t>(sizeof(*this)) + store_.ResidentBytes() +
+         static_cast<int64_t>(shape_.edges_per_timestamp.capacity() *
+                              sizeof(int64_t));
 }
 
 }  // namespace tgsim::baselines

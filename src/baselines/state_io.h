@@ -1,8 +1,8 @@
 #ifndef TGSIM_BASELINES_STATE_IO_H_
 #define TGSIM_BASELINES_STATE_IO_H_
 
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "baselines/generator.h"
 #include "serialize/serialization.h"
@@ -13,7 +13,8 @@ namespace tgsim::baselines {
 /// Shared building blocks of the generators' SaveState/LoadState
 /// implementations, so every method writes the observed shape and (where
 /// the method's generation process walks observed structure) the support
-/// graph in one format.
+/// graph in one format, plus the fitted-state classes of the shape-only
+/// and score-matrix families (ShapeOnlyGenerator, ScoreMatrixGenerator).
 
 /// Ok when `fitted` is true, else the uniform "requires a prior Fit()"
 /// InvalidArgument every SaveState implementation reports.
@@ -82,6 +83,25 @@ void WriteSupportGraph(serialize::ArchiveWriter& writer,
 Result<graphs::TemporalGraph> ReadSupportGraph(
     const serialize::ArchiveReader& reader, const std::string& section);
 
+/// Fitted state of the model-based baselines: the observed shape alone,
+/// so absorbing a delta is merging its per-timestamp edge counts.
+/// Subclasses define only how a snapshot is drawn from that budget.
+class ShapeOnlyGenerator : public TemporalGraphGenerator {
+ public:
+  bool is_learning_based() const override { return false; }
+  void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
+  Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
+  Status SaveState(std::ostream& out) const override;
+  Status LoadState(std::istream& in) override;
+  int64_t ResidentStateBytes() const override;
+
+ protected:
+  const ObservedShape& shape() const { return shape_; }
+
+ private:
+  ObservedShape shape_;
+};
+
 /// One snapshot's fit result from a score-matrix method: the ascending
 /// list of nodes active in the snapshot and their na x na score
 /// submatrix. Degenerate snapshots (fewer than two active nodes) return a
@@ -109,52 +129,77 @@ Status SaveScoreState(const ObservedShape& shape,
                       std::ostream& out, const std::string& method);
 
 /// Restores the state written by SaveScoreState. `path` names the file
-/// `in` reads from; with a block-format archive and a non-empty path the
-/// blocks stay on disk and are mmap'd per snapshot (the out-of-core
-/// path), while an empty path falls back to buffering the payload in
-/// memory. All structural problems are Status errors, never crashes.
+/// `in` reads from: a block-format state keeps its blocks on disk and
+/// mmaps them per snapshot (the out-of-core path), so without a file
+/// (an empty path) it is InvalidArgument. All structural problems are
+/// Status errors, never crashes.
 Status LoadScoreState(ObservedShape& shape, storage::ScoreStore& store,
                       std::istream& in, const std::string& path);
 
-/// Shared Fit() body of the score-matrix methods: trains `fit_snapshot`
-/// on each timestamp's edges (skipping edge-free snapshots) and fills
-/// `store` with each snapshot's top-`score_topk` sparse rows — the
-/// fit-once step whose output Generate and SaveState consume.
-void FitScoresPerSnapshot(
-    const graphs::TemporalGraph& observed, const ObservedShape& shape,
-    int64_t score_topk, storage::ScoreStore& store,
-    const std::function<SnapshotScores(
-        const std::vector<graphs::TemporalEdge>&)>& fit_snapshot);
-
-/// Default bound on warm-started (previously fitted) snapshots per
-/// Update() of the score-matrix methods; snapshots gaining their first
-/// edges are always fitted on top of this.
+/// Bound on warm-started (previously fitted) snapshots per Update() of the
+/// score-matrix methods; snapshots gaining their first edges are always
+/// fitted on top of this.
 inline constexpr int kUpdateWarmSnapshotLimit = 8;
 
-/// Shared Update() body of the score-matrix methods: regenerates sparse
-/// score rows only for the delta's touched snapshots. Snapshots gaining
-/// their first edges are always fitted (Generate requires rows wherever
-/// the edge budget is positive); previously-fitted touched snapshots are
-/// bounded to `max_warm_snapshots` recency-biased picks, each blending
-/// the old rows with rows fitted on the delta batch
-/// (SparseScoreRows::WeightedMerge, weighted by edge counts). A
-/// block-backed store is rematerialized resident first — re-saving the
-/// artifact re-applies the inline/blocks size rule. Empty deltas are a
-/// no-op; errors leave shape and store untouched.
-Status UpdateScoresForDelta(
-    const graphs::TemporalGraph& delta, ObservedShape& shape,
-    storage::ScoreStore& store, int64_t score_topk, int max_warm_snapshots,
-    Rng& rng, const std::string& method,
-    const std::function<SnapshotScores(
-        const std::vector<graphs::TemporalEdge>&)>& fit_snapshot);
-
-/// Shared Generate() body of the score-matrix methods: samples each
-/// timestamp's observed edge count from its fitted sparse score rows,
-/// leasing one snapshot at a time (so block-backed stores page in one
-/// mapping at a time — peak memory O(n + max snapshot nnz)).
+/// Samples each timestamp's observed edge count from its fitted sparse
+/// score rows, leasing one snapshot at a time (so block-backed stores page
+/// in one mapping at a time — peak memory O(n + max snapshot nnz)).
 graphs::TemporalGraph GenerateFromScores(const ObservedShape& shape,
                                          const storage::ScoreStore& store,
                                          Rng& rng);
+
+/// Fitted state of the per-snapshot score-matrix methods (NetGAN, VGAE,
+/// Graphite, SBMGNN): the shape plus one sparse score row set per
+/// snapshot with edges. Fit trains the method's model on each snapshot
+/// through FitSnapshotScores and keeps only the top-`score_topk` rows of
+/// its scores, so Generate is a sampling pass (GenerateFromScores) and the
+/// whole state ships through SaveScoreState/LoadScoreState. Subclasses
+/// define only FitSnapshotScores.
+class ScoreMatrixGenerator : public TemporalGraphGenerator {
+ public:
+  void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
+  graphs::TemporalGraph Generate(Rng& rng) const override;
+
+  /// Regenerates score rows only for the delta's touched snapshots.
+  /// Snapshots gaining their first edges are always fitted (Generate
+  /// requires rows wherever the edge budget is positive);
+  /// previously-fitted touched snapshots are bounded to
+  /// kUpdateWarmSnapshotLimit recency-biased picks, each blending the old
+  /// rows with rows fitted on the delta batch
+  /// (SparseScoreRows::WeightedMerge, weighted by edge counts). A
+  /// block-backed store is rematerialized resident first — re-saving the
+  /// artifact re-applies the inline/blocks size rule. Empty deltas are a
+  /// no-op; errors leave the fitted state untouched.
+  Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
+  Status SaveState(std::ostream& out) const override;
+  Status LoadState(std::istream& in) override;
+  Status LoadState(std::istream& in, const std::string& path) override;
+  int64_t ResidentStateBytes() const override;
+
+ protected:
+  /// `score_topk`: stored score entries per row (0 = every positive
+  /// entry). See ScoreStore.
+  explicit ScoreMatrixGenerator(int64_t score_topk)
+      : score_topk_(score_topk) {}
+
+  int num_nodes() const { return shape_.num_nodes; }
+
+ private:
+  /// Trains the method's model on one snapshot's edges and returns the
+  /// active-node score submatrix.
+  virtual SnapshotScores FitSnapshotScores(
+      const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const = 0;
+
+  /// The stored rows of FitSnapshotScores on `graph`'s edges at `t`.
+  storage::SparseScoreRows FitSnapshotRows(const graphs::TemporalGraph& graph,
+                                           int t, Rng& rng) const;
+
+  int64_t score_topk_;
+  ObservedShape shape_;
+  /// Fitted sparse score rows per timestamp (absent where the snapshot
+  /// has no edges). This is the complete generative state.
+  storage::ScoreStore store_;
+};
 
 }  // namespace tgsim::baselines
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "baselines/state_io.h"
+#include "graph/temporal_node_index.h"
 #include "sampling/samplers.h"
 
 namespace tgsim::baselines {
@@ -149,25 +149,20 @@ Status TiggerGenerator::Update(const graphs::TemporalGraph& delta,
   std::vector<graphs::TemporalNodeRef> occurrences(
       starts_->occurrences().begin(), starts_->occurrences().end());
   std::vector<double> weights = starts_->weights();
-  std::unordered_map<int64_t, size_t> index;
-  index.reserve(occurrences.size());
-  const int64_t t_span = shape_.num_timestamps;
-  for (size_t i = 0; i < occurrences.size(); ++i)
-    index.emplace(static_cast<int64_t>(occurrences[i].node) * t_span +
-                      occurrences[i].t,
-                  i);
   const auto& delta_occ = delta_starts.occurrences();
   const auto& delta_w = delta_starts.weights();
+  graphs::TemporalNodeIndex index;
+  index.Reserve(occurrences.size() + delta_occ.size());
+  for (size_t i = 0; i < occurrences.size(); ++i)
+    index.Insert(occurrences[i], static_cast<int>(i));
   for (size_t i = 0; i < delta_occ.size(); ++i) {
-    const int64_t key =
-        static_cast<int64_t>(delta_occ[i].node) * t_span + delta_occ[i].t;
-    auto it = index.find(key);
-    if (it != index.end()) {
-      weights[it->second] += delta_w[i];
-    } else {
-      index.emplace(key, occurrences.size());
+    const auto [position, inserted] =
+        index.Insert(delta_occ[i], static_cast<int>(occurrences.size()));
+    if (inserted) {
       occurrences.push_back(delta_occ[i]);
       weights.push_back(delta_w[i]);
+    } else {
+      weights[static_cast<size_t>(position)] += delta_w[i];
     }
   }
   starts_ = std::make_unique<graphs::InitialNodeSampler>(

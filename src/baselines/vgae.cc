@@ -42,35 +42,17 @@ void VgaeConfig::DefineParams(config::ParamBinder& binder) {
 
 TGSIM_CONFIG_IMPLEMENT_PARAMS(VgaeConfig)
 
-VgaeGenerator::VgaeGenerator(VgaeConfig config) : config_(config) {}
+VgaeGenerator::VgaeGenerator(VgaeConfig config)
+    : VgaeGenerator(config, /*graphite=*/false) {}
 
 VgaeGenerator::VgaeGenerator(VgaeConfig config, bool graphite)
-    : config_(config), graphite_(graphite) {}
-
-void VgaeGenerator::Fit(const graphs::TemporalGraph& observed, Rng& rng) {
-  shape_.CaptureFrom(observed);
-  // Fit-once/serve-many: every snapshot model trains here, and only the
-  // decoded sparse score rows are kept — Generate never sees the
-  // training graph again.
-  FitScoresPerSnapshot(
-      observed, shape_, config_.score_topk, store_,
-      [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, graphite_, rng);
-      });
-}
-
-Status VgaeGenerator::Update(const graphs::TemporalGraph& delta, Rng& rng) {
-  return UpdateScoresForDelta(
-      delta, shape_, store_, config_.score_topk, kUpdateWarmSnapshotLimit,
-      rng, name(), [&](const std::vector<graphs::TemporalEdge>& snap) {
-        return FitSnapshotScores(snap, graphite_, rng);
-      });
-}
+    : ScoreMatrixGenerator(config.score_topk),
+      config_(config),
+      graphite_(graphite) {}
 
 SnapshotScores VgaeGenerator::FitSnapshotScores(
-    const std::vector<graphs::TemporalEdge>& edges, bool graphite,
-    Rng& rng) const {
-  const int n = shape_.num_nodes;
+    const std::vector<graphs::TemporalEdge>& edges, Rng& rng) const {
+  const int n = num_nodes();
   // Restrict the model to nodes active in this snapshot: inactive rows are
   // all-zero and carry no gradient signal; generation maps indices back.
   std::vector<int> active;
@@ -108,7 +90,7 @@ SnapshotScores VgaeGenerator::FitSnapshotScores(
   nn::Var w_lv = nn::Var::Param(nn::Tensor::GlorotUniform(local, h, d));
   nn::Var w_refine = nn::Var::Param(nn::Tensor::GlorotUniform(local, d, d));
   std::vector<nn::Var> params = {w1, w_mu, w_lv};
-  if (graphite) params.push_back(w_refine);
+  if (graphite_) params.push_back(w_refine);
   nn::Adam opt(params, config_.learning_rate);
 
   double pos = static_cast<double>(2 * m_sub);
@@ -116,7 +98,7 @@ SnapshotScores VgaeGenerator::FitSnapshotScores(
       std::max(1.0, (static_cast<double>(na) * na - pos) / std::max(pos, 1.0));
 
   auto decode = [&](const nn::Var& z) {
-    if (!graphite) return nn::MatMul(z, nn::Transpose(z));
+    if (!graphite_) return nn::MatMul(z, nn::Transpose(z));
     nn::Var z_ref = z;
     for (int round = 0; round < config_.refine_rounds; ++round) {
       nn::Var a_soft = nn::Sigmoid(nn::MatMul(z_ref, nn::Transpose(z_ref)));
@@ -152,28 +134,6 @@ SnapshotScores VgaeGenerator::FitSnapshotScores(
   out.scores = SigmoidTensor(decode(mu).value());
   out.active = std::move(active);
   return out;
-}
-
-graphs::TemporalGraph VgaeGenerator::Generate(Rng& rng) const {
-  return GenerateFromScores(shape_, store_, rng);
-}
-
-Status VgaeGenerator::SaveState(std::ostream& out) const {
-  return SaveScoreState(shape_, store_, config_.score_topk, out, name());
-}
-
-Status VgaeGenerator::LoadState(std::istream& in) {
-  return LoadState(in, "");
-}
-
-Status VgaeGenerator::LoadState(std::istream& in, const std::string& path) {
-  return LoadScoreState(shape_, store_, in, path);
-}
-
-int64_t VgaeGenerator::ResidentStateBytes() const {
-  return static_cast<int64_t>(sizeof(*this)) + store_.ResidentBytes() +
-         static_cast<int64_t>(shape_.edges_per_timestamp.capacity() *
-                              sizeof(int64_t));
 }
 
 GraphiteGenerator::GraphiteGenerator(VgaeConfig config)

@@ -3,11 +3,8 @@
 
 #include <vector>
 
-#include "baselines/generator.h"
 #include "baselines/state_io.h"
 #include "config/param_map.h"
-#include "nn/tensor.h"
-#include "storage/score_store.h"
 
 namespace tgsim::baselines {
 
@@ -35,19 +32,12 @@ struct VgaeConfig {
 /// trains every snapshot and keeps the decoded score matrices as the
 /// complete fitted state, so Generate() is a sampling pass and the model
 /// ships through SaveState/LoadState.
-class VgaeGenerator : public TemporalGraphGenerator {
+class VgaeGenerator : public ScoreMatrixGenerator {
  public:
   explicit VgaeGenerator(VgaeConfig config = {});
 
   std::string name() const override { return "VGAE"; }
   const VgaeConfig& config() const { return config_; }
-  void Fit(const graphs::TemporalGraph& observed, Rng& rng) override;
-  graphs::TemporalGraph Generate(Rng& rng) const override;
-  Status Update(const graphs::TemporalGraph& delta, Rng& rng) override;
-  Status SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
-  Status LoadState(std::istream& in, const std::string& path) override;
-  int64_t ResidentStateBytes() const override;
 
   /// Dense n x n adjacency + reconstruction per snapshot: the classic
   /// VGAE memory wall (only UBUNTU exceeds 32 GB at paper scale). Models
@@ -61,18 +51,15 @@ class VgaeGenerator : public TemporalGraphGenerator {
   /// Graphite shares Fit/Generate and flips only the decoder refinement.
   VgaeGenerator(VgaeConfig config, bool graphite);
 
+ private:
   /// Trains on one snapshot and returns the active-node score submatrix.
-  /// `graphite` switches the decoder to the iterative Graphite variant.
+  /// `graphite_` switches the decoder to the iterative Graphite variant.
   SnapshotScores FitSnapshotScores(
-      const std::vector<graphs::TemporalEdge>& edges, bool graphite,
-      Rng& rng) const;
+      const std::vector<graphs::TemporalEdge>& edges,
+      Rng& rng) const override;
 
   VgaeConfig config_;
   bool graphite_ = false;
-  ObservedShape shape_;
-  /// Fitted sparse score rows per timestamp (absent where the snapshot
-  /// has no edges). This is the complete generative state.
-  storage::ScoreStore store_;
 };
 
 /// Graphite (Grover et al., ICML'19): VGAE with an iteratively refined

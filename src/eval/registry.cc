@@ -58,7 +58,6 @@ MethodSpec TgaeSpec(const std::string& name, core::TgaeVariant variant,
   spec.summary = std::move(summary);
   spec.in_main_table = in_main_table;
   spec.in_ablation_table = true;
-  spec.supports_update = true;
   spec.schema = core::TgaeConfig::Schema();
   // The fast profile also flips on the sampled-softmax training loss;
   // preset=paper keeps the dense n-wide loss (the paper's formulation).
@@ -82,7 +81,6 @@ MethodSpec ConfiguredSpec(const std::string& name, std::string summary,
   spec.name = name;
   spec.summary = std::move(summary);
   spec.in_main_table = true;
-  spec.supports_update = true;
   spec.schema = Config::Schema();
   spec.fast_preset = Tokens(fast_tokens);
   spec.factory = ConfiguredFactory<Generator, Config>();
@@ -95,7 +93,6 @@ MethodSpec PlainSpec(const std::string& name, std::string summary) {
   spec.name = name;
   spec.summary = std::move(summary);
   spec.in_main_table = true;
-  spec.supports_update = true;
   spec.factory = PlainFactory<Generator>(name);
   return spec;
 }

@@ -31,11 +31,6 @@ struct MethodSpec {
   bool in_main_table = false;
   /// Member of the Table VII ablation columns.
   bool in_ablation_table = false;
-  /// The generator implements Update(delta) — `tgsim update` and the serve
-  /// `update` op work on its artifacts. Every built-in method sets this;
-  /// external registrations default to the safe answer (the base-class
-  /// Update reports Unimplemented).
-  bool supports_update = false;
   /// Tunable parameters (paper defaults) of the method's config struct.
   config::ParamSchema schema;
   /// Parameter overrides the `preset=fast` profile applies on top of the

@@ -1,7 +1,6 @@
 #include "serve/model_cache.h"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "common/check.h"
@@ -9,21 +8,6 @@
 #include "eval/artifact.h"
 
 namespace tgsim::serve {
-
-namespace {
-
-/// Artifact file size (the budget-charge fallback for generators that do
-/// not report ResidentStateBytes), or an IoError.
-Result<int64_t> ArtifactBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open())
-    return Status::IoError("cannot open artifact: " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("cannot size artifact: " + path);
-  return static_cast<int64_t>(size);
-}
-
-}  // namespace
 
 ModelCache::ModelCache(std::vector<ModelSpec> models, int64_t byte_budget)
     : byte_budget_(byte_budget) {
@@ -65,17 +49,12 @@ ModelCache::Slot* ModelCache::FindSlotLocked(const std::string& name) {
 }
 
 Status ModelCache::LoadSlotLocked(Slot& slot) {
-  Result<int64_t> file_bytes = ArtifactBytes(slot.spec.path);
-  if (!file_bytes.ok()) return file_bytes.status();
-
   // Load before admission: block-backed artifacts keep their score blocks
   // on disk, so the true resident footprint is only known once the
-  // generator exists. Methods that cannot report it (-1) are charged the
-  // artifact file size — for inline state the payload *is* the footprint.
+  // generator exists.
   Result<eval::LoadedArtifact> loaded = eval::LoadArtifact(slot.spec.path);
   if (!loaded.ok()) return loaded.status();
-  const int64_t resident = loaded.value().generator->ResidentStateBytes();
-  const int64_t charge = resident >= 0 ? resident : file_bytes.value();
+  const int64_t charge = loaded.value().generator->ResidentStateBytes();
   if (charge > byte_budget_)
     return Status::ResourceExhausted(
         "artifact needs " + std::to_string(charge) +
@@ -172,13 +151,7 @@ Status ModelCache::Swap(
   Slot* slot = FindSlotLocked(name);
   if (slot == nullptr) return Status::NotFound("unknown model '" + name + "'");
 
-  const int64_t resident = generator->ResidentStateBytes();
-  int64_t charge = resident;
-  if (charge < 0) {
-    Result<int64_t> file_bytes = ArtifactBytes(slot->spec.path);
-    if (!file_bytes.ok()) return file_bytes.status();
-    charge = file_bytes.value();
-  }
+  const int64_t charge = generator->ResidentStateBytes();
   if (charge > byte_budget_)
     return Status::ResourceExhausted(
         "updated model needs " + std::to_string(charge) +

@@ -48,13 +48,11 @@ struct ModelStats {
 /// eviction (the samgraph CachePolicy idiom applied to whole models: keep
 /// the hottest models resident, reload colder ones from disk on demand).
 ///
-/// A model's footprint is charged as the generator's reported
-/// ResidentStateBytes() when available — block-backed artifacts keep their
-/// score blocks mmap-backed on disk, so their charge is far below the file
-/// size — and falls back to the artifact file size for methods that do not
-/// report one (for inline state the payload *is* the footprint). Admission:
-/// a model whose footprint alone exceeds the budget is rejected with
-/// ResourceExhausted.
+/// A model's footprint is charged as the generator's
+/// ResidentStateBytes() — block-backed artifacts keep their score blocks
+/// mmap-backed on disk, so their charge is far below the file size.
+/// Admission: a model whose footprint alone exceeds the budget is rejected
+/// with ResourceExhausted.
 /// Eviction: when an admit would overflow the budget, resident models are
 /// evicted in ascending (requests, last-use sequence) order — strictly
 /// least traffic first, ties broken least-recently-used — until the new

@@ -100,12 +100,13 @@ Json Server::Handle(const Request& request) {
   return MakeErrorReply(Status::Internal("unhandled request op"));
 }
 
-std::string Server::HandleFrame(const std::string& frame) {
+std::string Server::HandleFrame(const std::string& frame, bool* close) {
   Result<Request> request = ParseRequest(frame, options_.max_frame_bytes);
   if (!request.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return MakeErrorReply(request.status()).Serialize();
   }
+  if (close != nullptr) *close = request.value().op == RequestOp::kShutdown;
   return Handle(request.value()).Serialize();
 }
 
@@ -386,15 +387,9 @@ void Server::ServeConnection(int fd) {
       std::string frame = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (!frame.empty() && frame.back() == '\r') frame.pop_back();
-      Result<Request> request =
-          ParseRequest(frame, options_.max_frame_bytes);
-      if (!request.ok())
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      const Json reply = request.ok() ? Handle(request.value())
-                                      : MakeErrorReply(request.status());
-      if (!WriteFrame(fd, reply.Serialize())) return;
-      if (request.ok() && request.value().op == RequestOp::kShutdown)
-        return;  // The drain is underway; this connection is done.
+      bool close = false;
+      if (!WriteFrame(fd, HandleFrame(frame, &close))) return;
+      if (close) return;  // The drain is underway; this connection is done.
       continue;
     }
     if (buffer.size() > options_.max_frame_bytes) {

@@ -19,7 +19,7 @@ namespace tgsim::serve {
 /// Configuration of one serve daemon.
 struct ServeOptions {
   std::vector<ModelSpec> models;
-  /// Model-cache byte budget (artifact-size accounting; see ModelCache).
+  /// Model-cache byte budget (resident-state accounting; see ModelCache).
   int64_t cache_budget_bytes = int64_t{1} << 30;
   /// Concurrent request workers (one long-lived connection each).
   int workers = 4;
@@ -61,8 +61,11 @@ class Server {
   Json Handle(const Request& request);
 
   /// Frame in, frame out (no trailing newline): ParseRequest + Handle +
-  /// Serialize, with parse failures rendered as error replies.
-  std::string HandleFrame(const std::string& frame);
+  /// Serialize, with parse failures rendered as error replies and counted
+  /// as protocol errors. The socket front end serves every frame through
+  /// this; when `close` is given, it is set to whether the frame was a
+  /// shutdown request, after whose reply the connection closes.
+  std::string HandleFrame(const std::string& frame, bool* close = nullptr);
 
   /// Binds a Unix-domain stream socket at `path` (replacing a stale file)
   /// and starts accepting connections. One call per server.

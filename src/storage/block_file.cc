@@ -122,8 +122,7 @@ MappedBlock::MappedBlock(MappedBlock&& other) noexcept
     : data_(other.data_),
       size_(other.size_),
       map_addr_(other.map_addr_),
-      map_len_(other.map_len_),
-      keepalive_(std::move(other.keepalive_)) {
+      map_len_(other.map_len_) {
   other.data_ = nullptr;
   other.size_ = 0;
   other.map_addr_ = nullptr;
@@ -148,13 +147,9 @@ MappedBlock::~MappedBlock() {
 // ---------------------------------------------------------------------------
 
 struct BlockFileReader::Impl {
-  // File mode: fd >= 0, blocks mmap'd on demand. Buffer mode: fd == -1,
-  // `buffer` holds the container with `pad` leading bytes restoring the
-  // writer's absolute 8-byte alignment phase.
+  // Blocks are mmap'd from `fd` on demand.
   int fd = -1;
   int64_t base = 0;
-  std::vector<std::byte> buffer;
-  size_t pad = 0;
   int64_t region_size = 0;
 
   struct Entry {
@@ -170,29 +165,24 @@ struct BlockFileReader::Impl {
     if (fd >= 0) ::close(fd);
   }
 
-  /// Parses header, footer, and index out of an already-set-up Impl (fd
-  /// or buffer mode). Shared by both open paths.
+  /// Parses header, footer, and index out of the opened file.
   Status Parse();
 
   Status ReadAt(int64_t rel, void* dst, size_t n) const {
-    if (fd >= 0) {
-      size_t done = 0;
-      while (done < n) {
-        const ssize_t got =
-            ::pread(fd, static_cast<char*>(dst) + done, n - done,
-                    static_cast<off_t>(base + rel + static_cast<int64_t>(done)));
-        if (got < 0) {
-          return Status::IoError("block file: pread failed");
-        }
-        if (got == 0) {
-          return Status::InvalidArgument(
-              "block file: truncated (unexpected end of file)");
-        }
-        done += static_cast<size_t>(got);
+    size_t done = 0;
+    while (done < n) {
+      const ssize_t got =
+          ::pread(fd, static_cast<char*>(dst) + done, n - done,
+                  static_cast<off_t>(base + rel + static_cast<int64_t>(done)));
+      if (got < 0) {
+        return Status::IoError("block file: pread failed");
       }
-      return Status::Ok();
+      if (got == 0) {
+        return Status::InvalidArgument(
+            "block file: truncated (unexpected end of file)");
+      }
+      done += static_cast<size_t>(got);
     }
-    std::memcpy(dst, buffer.data() + pad + static_cast<size_t>(rel), n);
     return Status::Ok();
   }
 };
@@ -313,29 +303,6 @@ Result<BlockFileReader> BlockFileReader::OpenFile(const std::string& path,
   return reader;
 }
 
-Result<BlockFileReader> BlockFileReader::FromBuffer(std::string_view bytes,
-                                                    int64_t base_offset) {
-  if (base_offset < 0) {
-    return Status::InvalidArgument("block file: negative base offset");
-  }
-  auto impl = std::make_shared<Impl>();
-  // Re-create the writer's alignment phase: block rel offsets satisfy
-  // (base + rel) % 8 == 0, and operator new aligns the vector's data to
-  // at least 16, so pad + rel lands every block on an 8-byte boundary.
-  impl->pad = static_cast<size_t>(base_offset % 8);
-  impl->base = base_offset;
-  impl->region_size = static_cast<int64_t>(bytes.size());
-  impl->buffer.resize(impl->pad + bytes.size());
-  // An empty buffer's data() may be null, which memcpy must never see.
-  if (!bytes.empty())
-    std::memcpy(impl->buffer.data() + impl->pad, bytes.data(), bytes.size());
-  Status st = impl->Parse();
-  if (!st.ok()) return st;
-  BlockFileReader reader;
-  reader.impl_ = std::move(impl);
-  return reader;
-}
-
 std::vector<std::string> BlockFileReader::BlockNames() const {
   std::vector<std::string> names;
   names.reserve(impl_->entries.size());
@@ -361,32 +328,25 @@ Result<MappedBlock> BlockFileReader::Map(const std::string& name) const {
   const Impl::Entry& entry = impl_->entries[it->second];
   MappedBlock block;
   block.size_ = static_cast<size_t>(entry.size);
-  if (impl_->fd >= 0) {
-    const int64_t abs = impl_->base + entry.rel_offset;
-    const int64_t page = static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
-    const int64_t map_start = (abs / page) * page;
-    const size_t lead = static_cast<size_t>(abs - map_start);
-    const size_t map_len = lead + block.size_;
-    if (map_len == 0) {
-      // Zero-length mmap is EINVAL; an empty block needs no mapping.
-      block.data_ = "";
-      block.keepalive_ = impl_;
-      return block;
-    }
-    void* addr = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, impl_->fd,
-                        static_cast<off_t>(map_start));
-    if (addr == MAP_FAILED) {
-      return Status::IoError("block file: mmap failed for block '" + name +
-                             "'");
-    }
-    block.map_addr_ = addr;
-    block.map_len_ = map_len;
-    block.data_ = static_cast<const char*>(addr) + lead;
-  } else {
-    block.data_ =
-        impl_->buffer.data() + impl_->pad + static_cast<size_t>(entry.rel_offset);
+  const int64_t abs = impl_->base + entry.rel_offset;
+  const int64_t page = static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+  const int64_t map_start = (abs / page) * page;
+  const size_t lead = static_cast<size_t>(abs - map_start);
+  const size_t map_len = lead + block.size_;
+  if (map_len == 0) {
+    // Zero-length mmap is EINVAL; an empty block needs no mapping.
+    block.data_ = "";
+    return block;
   }
-  block.keepalive_ = impl_;
+  void* addr = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, impl_->fd,
+                      static_cast<off_t>(map_start));
+  if (addr == MAP_FAILED) {
+    return Status::IoError("block file: mmap failed for block '" + name +
+                           "'");
+  }
+  block.map_addr_ = addr;
+  block.map_len_ = map_len;
+  block.data_ = static_cast<const char*>(addr) + lead;
   return block;
 }
 

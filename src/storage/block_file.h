@@ -74,10 +74,9 @@ class BlockFileWriter {
   bool finished_ = false;
 };
 
-/// Move-only lease on one block's bytes. File-backed blocks hold an mmap
-/// region (munmap on destruction, modeled on samgraph's Tensor::FromMmap);
-/// buffer-backed blocks hold a shared_ptr keepalive. Either way `data()`
-/// is 8-byte aligned and valid for the lease's lifetime.
+/// Move-only lease on one block's bytes: an mmap region (munmap on
+/// destruction, modeled on samgraph's Tensor::FromMmap). `data()` is
+/// 8-byte aligned and valid for the lease's lifetime.
 class MappedBlock {
  public:
   MappedBlock() = default;
@@ -96,9 +95,8 @@ class MappedBlock {
 
   const void* data_ = nullptr;
   size_t size_ = 0;
-  void* map_addr_ = nullptr;  // munmap target (file mode only)
+  void* map_addr_ = nullptr;  // munmap target (null for an empty block)
   size_t map_len_ = 0;
-  std::shared_ptr<const void> keepalive_;
 };
 
 /// Random-access reader over a block file written by BlockFileWriter.
@@ -108,7 +106,7 @@ class MappedBlock {
 class BlockFileReader {
  public:
   /// A default-constructed reader holds no container; using it before
-  /// assigning from OpenFile/FromBuffer is a programming error.
+  /// assigning from OpenFile is a programming error.
   BlockFileReader() = default;
 
   /// Opens `path` and reads the container that starts at `base_offset`
@@ -116,14 +114,6 @@ class BlockFileReader {
   /// and ends at end-of-file. Blocks are later mmap'd on demand.
   static Result<BlockFileReader> OpenFile(const std::string& path,
                                           int64_t base_offset);
-
-  /// Reads a container held in memory. `bytes` spans exactly the
-  /// container (header through footer); `base_offset` is the absolute
-  /// file position the container was written at — needed to reconstruct
-  /// the writer's 8-byte alignment. The bytes are copied into an aligned
-  /// private buffer, so `bytes` need not outlive the reader.
-  static Result<BlockFileReader> FromBuffer(std::string_view bytes,
-                                            int64_t base_offset);
 
   std::vector<std::string> BlockNames() const;
   bool HasBlock(const std::string& name) const;

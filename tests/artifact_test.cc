@@ -502,24 +502,5 @@ TEST(ArtifactErrorTest, WrongBlockContainerVersionIsInvalidArgument) {
   std::filesystem::remove(path);
 }
 
-TEST(ArtifactErrorTest, DefaultSaveStateIsInvalidArgument) {
-  // Custom registrations without persistence keep constructing and
-  // running; only the artifact path reports Unimplemented-style errors.
-  class NoStateGenerator : public baselines::TemporalGraphGenerator {
-   public:
-    std::string name() const override { return "custom"; }
-    void Fit(const graphs::TemporalGraph&, Rng&) override {}
-    graphs::TemporalGraph Generate(Rng&) const override {
-      graphs::TemporalGraph g(1, 1);
-      g.Finalize();
-      return g;
-    }
-  };
-  NoStateGenerator gen;
-  std::stringstream stream;
-  EXPECT_EQ(gen.SaveState(stream).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(gen.LoadState(stream).code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace tgsim::eval

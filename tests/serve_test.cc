@@ -83,12 +83,6 @@ std::vector<serve::ModelSpec> TestModels() {
   };
 }
 
-int64_t FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  EXPECT_TRUE(in.is_open()) << path;
-  return static_cast<int64_t>(in.tellg());
-}
-
 std::string FileContents(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
@@ -97,14 +91,12 @@ std::string FileContents(const std::string& path) {
 }
 
 /// The budget charge the cache applies to `path`: the loaded generator's
-/// ResidentStateBytes(), or the artifact file size when the method does
-/// not report one. Eviction tests size their budgets from this so the
-/// choreography stays pinned regardless of which accounting applies.
+/// ResidentStateBytes(). Eviction tests size their budgets from this so
+/// the choreography stays pinned.
 int64_t ChargeBytes(const std::string& path) {
   Result<eval::LoadedArtifact> loaded = eval::LoadArtifact(path);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const int64_t resident = loaded.value().generator->ResidentStateBytes();
-  return resident >= 0 ? resident : FileBytes(path);
+  return loaded.value().generator->ResidentStateBytes();
 }
 
 /// The reference payload for (artifact, seed): a serial LoadArtifact +
@@ -676,7 +668,6 @@ eval::MethodSpec ThrowOnLoadSpec() {
   eval::MethodSpec spec;
   spec.name = "ThrowOnLoad";
   spec.summary = "E-R whose LoadState throws while a test flag is set";
-  spec.supports_update = true;
   spec.factory = [](const config::ParamMap&)
       -> Result<std::unique_ptr<baselines::TemporalGraphGenerator>> {
     return std::unique_ptr<baselines::TemporalGraphGenerator>(

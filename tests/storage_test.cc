@@ -24,6 +24,15 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
+/// Writes `bytes` to the temp file `name` and returns its path.
+std::string WriteTempFile(const char* name, const std::string& bytes) {
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  EXPECT_TRUE(out.good()) << path;
+  return path;
+}
+
 nn::Tensor MakeScores() {
   // 4x4 with negatives, zeros, and a diagonal that must all be skipped.
   nn::Tensor scores(4, 4);
@@ -255,18 +264,6 @@ void ExpectSampleContents(const BlockFileReader& reader) {
   EXPECT_EQ(reader.TotalBlockBytes(), 10 + 0 + 16);
 }
 
-TEST(BlockFileTest, BufferModeRoundTripsWithUnalignedPrefix) {
-  // A 3-byte prefix exercises the base re-alignment path: absolute
-  // offsets were 8-aligned at write time, the buffer must reproduce that.
-  const std::string prefix = "xy\n";
-  std::string bytes = WriteSampleContainer(prefix);
-  Result<BlockFileReader> reader = BlockFileReader::FromBuffer(
-      std::string_view(bytes).substr(prefix.size()),
-      static_cast<int64_t>(prefix.size()));
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ExpectSampleContents(reader.value());
-}
-
 TEST(BlockFileTest, FileModeMmapsBlocks) {
   const std::string prefix = "archive-stand-in\n";
   std::string bytes = WriteSampleContainer(prefix);
@@ -284,8 +281,8 @@ TEST(BlockFileTest, FileModeMmapsBlocks) {
 
 TEST(BlockFileTest, StructuralCorruptionIsStatusNeverCrash) {
   std::string bytes = WriteSampleContainer("");
-  auto open = [](std::string data) {
-    return BlockFileReader::FromBuffer(data, 0);
+  auto open = [](const std::string& data) {
+    return BlockFileReader::OpenFile(WriteTempFile("corrupt.bin", data), 0);
   };
   // Truncations at every boundary.
   for (size_t keep : {size_t{0}, size_t{10}, size_t{55},
@@ -313,6 +310,7 @@ TEST(BlockFileTest, StructuralCorruptionIsStatusNeverCrash) {
   bad = bytes;
   bad[bad.size() - 41] ^= 0x1;
   EXPECT_FALSE(open(bad).ok());
+  std::remove(TempPath("corrupt.bin").c_str());
 }
 
 TEST(BlockFileTest, BlockChecksumMismatchIsDetected) {
@@ -320,12 +318,14 @@ TEST(BlockFileTest, BlockChecksumMismatchIsDetected) {
   // Flip one payload byte ("0123456789" starts right after the 16-byte
   // header); the container still parses, VerifyChecksums names the block.
   bytes[16] ^= 0x2;
-  Result<BlockFileReader> reader = BlockFileReader::FromBuffer(bytes, 0);
+  const std::string path = WriteTempFile("flipped.bin", bytes);
+  Result<BlockFileReader> reader = BlockFileReader::OpenFile(path, 0);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   Status sums = reader.value().VerifyChecksums();
   ASSERT_FALSE(sums.ok());
   EXPECT_NE(sums.message().find("alpha"), std::string::npos)
       << sums.message();
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ void MakeBlockScaleModel(baselines::ObservedShape& shape, ScoreStore& store) {
   store.Set(2, SparseScoreRows::FromDense(scores, 7));
 }
 
-TEST(ScoreStateTest, LargeModelsSaveBlocksAndRoundTripBothWays) {
+TEST(ScoreStateTest, LargeModelsSaveBlocksAndRoundTripThroughTheFile) {
   baselines::ObservedShape shape;
   ScoreStore store;
   MakeBlockScaleModel(shape, store);
@@ -438,49 +438,46 @@ TEST(ScoreStateTest, LargeModelsSaveBlocksAndRoundTripBothWays) {
   EXPECT_NE(out.str().find("blocks"), std::string::npos);
   EXPECT_NE(out.str().find("tgsimblk"), std::string::npos);
 
-  // Path-less load buffers the payload; path-ful load mmaps it. Both must
-  // reconstruct the same snapshots.
-  baselines::ObservedShape buffered_shape;
-  ScoreStore buffered;
-  Status s =
-      baselines::LoadScoreState(buffered_shape, buffered, out, "");
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(buffered.block_backed());
-
-  std::string path = TempPath("score_state.bin");
-  {
-    std::ofstream file(path, std::ios::binary);
-    file << out.str();
-  }
+  // The load mmaps the blocks from the file and must reconstruct the
+  // same snapshots.
+  const std::string path = WriteTempFile("score_state.bin", out.str());
   std::ifstream in(path, std::ios::binary);
   baselines::ObservedShape mapped_shape;
   ScoreStore mapped;
-  s = baselines::LoadScoreState(mapped_shape, mapped, in, path);
+  Status s = baselines::LoadScoreState(mapped_shape, mapped, in, path);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(mapped.block_backed());
 
   for (int t : {0, 2}) {
-    const std::string original = EncodeScoreBlock(store.Snapshot(t).view);
-    EXPECT_EQ(EncodeScoreBlock(buffered.Snapshot(t).view), original);
-    EXPECT_EQ(EncodeScoreBlock(mapped.Snapshot(t).view), original);
+    EXPECT_EQ(EncodeScoreBlock(mapped.Snapshot(t).view),
+              EncodeScoreBlock(store.Snapshot(t).view));
   }
-  EXPECT_FALSE(buffered.has(1));
+  EXPECT_FALSE(mapped.has(1));
 
-  // Bit-identical generation from all three stores.
-  Rng a(5), b(5), c(5);
+  // Bit-identical generation from both stores.
+  Rng a(5), b(5);
   graphs::TemporalGraph from_store =
       baselines::GenerateFromScores(shape, store, a);
-  graphs::TemporalGraph from_buffered =
-      baselines::GenerateFromScores(buffered_shape, buffered, b);
   graphs::TemporalGraph from_mapped =
-      baselines::GenerateFromScores(mapped_shape, mapped, c);
-  ASSERT_EQ(from_store.edges().size(), from_buffered.edges().size());
+      baselines::GenerateFromScores(mapped_shape, mapped, b);
   ASSERT_EQ(from_store.edges().size(), from_mapped.edges().size());
-  for (size_t i = 0; i < from_store.edges().size(); ++i) {
-    EXPECT_TRUE(from_store.edges()[i] == from_buffered.edges()[i]);
+  for (size_t i = 0; i < from_store.edges().size(); ++i)
     EXPECT_TRUE(from_store.edges()[i] == from_mapped.edges()[i]);
-  }
   std::remove(path.c_str());
+}
+
+TEST(ScoreStateTest, BlocksStateWithoutItsFileIsInvalidArgument) {
+  baselines::ObservedShape shape;
+  ScoreStore store;
+  MakeBlockScaleModel(shape, store);
+  std::stringstream out;
+  ASSERT_TRUE(baselines::SaveScoreState(shape, store, 0, out, "test").ok());
+  ASSERT_NE(out.str().find("tgsimblk"), std::string::npos);
+
+  baselines::ObservedShape loaded_shape;
+  ScoreStore loaded;
+  Status s = baselines::LoadScoreState(loaded_shape, loaded, out, "");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 TEST(ScoreStateTest, CorruptBlockPayloadsAreStatusErrors) {
@@ -491,11 +488,12 @@ TEST(ScoreStateTest, CorruptBlockPayloadsAreStatusErrors) {
   ASSERT_TRUE(baselines::SaveScoreState(shape, store, 0, out, "test").ok());
   const std::string good = out.str();
 
-  auto load = [](std::string bytes) {
-    std::stringstream in(std::move(bytes));
+  auto load = [](const std::string& bytes) {
+    const std::string path = WriteTempFile("corrupt_state.bin", bytes);
+    std::ifstream in(path, std::ios::binary);
     baselines::ObservedShape shape_out;
     ScoreStore store_out;
-    return baselines::LoadScoreState(shape_out, store_out, in, "");
+    return baselines::LoadScoreState(shape_out, store_out, in, path);
   };
   // Truncated block payload.
   Status s = load(good.substr(0, good.size() - 64));
@@ -518,6 +516,7 @@ TEST(ScoreStateTest, CorruptBlockPayloadsAreStatusErrors) {
   s = load(bad);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.ToString();
+  std::remove(TempPath("corrupt_state.bin").c_str());
 }
 
 TEST(ScoreStateTest, DenseScoreArchivesAreRejected) {

@@ -330,16 +330,6 @@ TEST(TgsimCliTest, UpdateRejectsBadInvocations) {
             1);
 }
 
-TEST(TgsimCliTest, MethodsMarksUpdatableMethods) {
-  CliResult r = RunCli({"methods"});
-  ASSERT_EQ(r.code, 0);
-  EXPECT_NE(r.out.find("[updatable]"), std::string::npos) << r.out;
-  CliResult verbose = RunCli({"methods", "--method", "TGAE"});
-  ASSERT_EQ(verbose.code, 0);
-  EXPECT_NE(verbose.out.find("incremental update"), std::string::npos)
-      << verbose.out;
-}
-
 TEST(TgsimCliTest, GenerateModelRejectsConflictingFlags) {
   // --model with --method is a usage error; with dataset or construction
   // flags it is a runtime error (the artifact embeds all of them).

@@ -2,19 +2,25 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/generator.h"
 #include "baselines/state_io.h"
+#include "baselines/tigger.h"
 #include "common/check.h"
 #include "config/param_map.h"
 #include "datasets/synthetic.h"
 #include "eval/artifact.h"
 #include "eval/registry.h"
+#include "graph/ego_sampler.h"
 #include "graph/temporal_graph.h"
 #include "gtest/gtest.h"
 #include "metrics/degree_mmd.h"
+#include "serialize/serialization.h"
 
 namespace tgsim {
 namespace {
@@ -53,11 +59,22 @@ std::unique_ptr<baselines::TemporalGraphGenerator> MakeFast(
   return std::move(gen).value();
 }
 
-std::vector<std::string> UpdatableMethods() {
-  std::vector<std::string> names;
-  for (const std::string& name : eval::AllMethodNames())
-    if (eval::FindMethod(name)->supports_update) names.push_back(name);
-  return names;
+/// `g` split on its own canvas into a fit part and a delta: the delta
+/// holds every edge at t >= T/2 plus every fourth earlier edge, so it both
+/// opens snapshots the fit never saw and adds to snapshots it did.
+std::pair<graphs::TemporalGraph, graphs::TemporalGraph> SplitWithOverlap(
+    const graphs::TemporalGraph& g) {
+  const int split = g.num_timestamps() / 2;
+  std::vector<graphs::TemporalEdge> fit, delta;
+  int64_t earlier = 0;
+  for (const graphs::TemporalEdge& e : g.edges()) {
+    const bool to_delta = e.t >= split || earlier++ % 4 == 0;
+    (to_delta ? delta : fit).push_back(e);
+  }
+  return {graphs::TemporalGraph::FromEdges(g.num_nodes(), g.num_timestamps(),
+                                           std::move(fit)),
+          graphs::TemporalGraph::FromEdges(g.num_nodes(), g.num_timestamps(),
+                                           std::move(delta))};
 }
 
 std::string EdgeBytes(const graphs::TemporalGraph& g) {
@@ -77,8 +94,7 @@ std::string FileBytes(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// The incremental-fit contract, parameterized over every method that
-// advertises supports_update (which is all built-ins).
+// The incremental-fit contract, parameterized over every main-table method.
 // ---------------------------------------------------------------------------
 
 class UpdateContractTest : public ::testing::TestWithParam<std::string> {};
@@ -216,7 +232,7 @@ TEST_P(UpdateContractTest, UpdatedArtifactRoundTripsBitIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     UpdatableMethods, UpdateContractTest,
-    ::testing::ValuesIn(UpdatableMethods()),
+    ::testing::ValuesIn(eval::AllMethodNames()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name)
@@ -258,33 +274,106 @@ TEST(UpdateArtifactTest, CountsOneUpdateAndLeavesTheLineageOnError) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry flag and the default Update.
+// Family-specific merges.
 // ---------------------------------------------------------------------------
 
-TEST(UpdateRegistryTest, EveryBuiltInMethodSupportsUpdate) {
-  for (const std::string& name : eval::AllMethodNames())
-    EXPECT_TRUE(eval::FindMethod(name)->supports_update) << name;
-}
-
-/// A generator that opts out of everything optional: Update must fall
-/// back to the base class's Unimplemented.
-class StubGenerator : public baselines::TemporalGraphGenerator {
- public:
-  std::string name() const override { return "stub"; }
-  void Fit(const graphs::TemporalGraph&, Rng&) override {}
-  graphs::TemporalGraph Generate(Rng&) const override {
-    return graphs::TemporalGraph::FromEdges(1, 1, {});
-  }
+/// The walk-start occurrences (node, time) a fitted TIGGER stores, in
+/// stored order, with their weights.
+struct StoredStarts {
+  std::vector<int64_t> node;
+  std::vector<int64_t> time;
+  std::vector<double> weight;
 };
 
-TEST(UpdateRegistryTest, DefaultUpdateIsUnimplemented) {
-  StubGenerator gen;
-  graphs::TemporalGraph delta =
-      graphs::TemporalGraph::FromEdges(2, 1, {{0, 1, 0}});
-  Rng rng(1);
-  Status s = gen.Update(delta, rng);
-  EXPECT_EQ(s.code(), StatusCode::kUnimplemented) << s.ToString();
-  EXPECT_NE(s.message().find("stub"), std::string::npos) << s.ToString();
+StoredStarts SavedStarts(const baselines::TemporalGraphGenerator& gen) {
+  std::stringstream state;
+  EXPECT_TRUE(gen.SaveState(state).ok());
+  Result<serialize::ArchiveReader> reader =
+      serialize::ArchiveReader::Parse(state);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  StoredStarts starts;
+  if (!reader.ok()) return starts;
+  starts.node = reader.value().GetIntVector("starts", "node").value();
+  starts.time = reader.value().GetIntVector("starts", "time").value();
+  starts.weight = reader.value().GetDoubleVector("starts", "weight").value();
+  return starts;
+}
+
+// TIGGER's Update merges the delta's walk starts into the fitted start
+// distribution: fitted occurrences keep their positions and gain the
+// delta's temporal-degree mass, and new occurrences are appended in the
+// delta's enumeration order.
+TEST(TiggerUpdateTest, MergedStartsKeepFittedPositionsAndAppendNewOnes) {
+  const auto [fit, delta] = SplitWithOverlap(Observed());
+  auto gen = MakeFast("TIGGER");
+  Rng rng(31);
+  gen->Fit(fit, rng);
+  const StoredStarts fitted = SavedStarts(*gen);
+  ASSERT_TRUE(gen->Update(delta, rng).ok());
+
+  StoredStarts want = fitted;
+  std::map<std::pair<int64_t, int64_t>, size_t> position;
+  for (size_t i = 0; i < fitted.node.size(); ++i)
+    position[{fitted.node[i], fitted.time[i]}] = i;
+  const graphs::InitialNodeSampler delta_starts(
+      &delta, baselines::TiggerConfig().time_window);
+  int gained = 0;
+  int appended = 0;
+  for (size_t j = 0; j < delta_starts.occurrences().size(); ++j) {
+    const graphs::TemporalNodeRef occ = delta_starts.occurrences()[j];
+    const double w = delta_starts.weights()[j];
+    const auto [it, inserted] =
+        position.emplace(std::make_pair(occ.node, occ.t), want.node.size());
+    if (inserted) {
+      want.node.push_back(occ.node);
+      want.time.push_back(occ.t);
+      want.weight.push_back(w);
+      ++appended;
+    } else {
+      want.weight[it->second] += w;
+      ++gained;
+    }
+  }
+  ASSERT_GT(gained, 0);
+  ASSERT_GT(appended, 0);
+
+  const StoredStarts merged = SavedStarts(*gen);
+  EXPECT_EQ(merged.node, want.node);
+  EXPECT_EQ(merged.time, want.time);
+  EXPECT_EQ(merged.weight, want.weight);
+}
+
+// A score model whose artifact holds its rows as a BlockFile loads
+// block-backed (the rows stay mmap'd from the file), so its Update first
+// rematerializes them resident. It must land on the same state as the
+// same update of the resident model the artifact was saved from.
+TEST(ScoreUpdateTest, BlockBackedModelUpdatesLikeTheResidentOne) {
+  const graphs::TemporalGraph mimic =
+      datasets::MakeMimicByName("DBLP", 0.03, 21);
+  // More nodes than kInlineScoreNodeLimit: the scores save as blocks.
+  const auto [fit, delta] = SplitWithOverlap(graphs::TemporalGraph::FromEdges(
+      5000, mimic.num_timestamps(), mimic.edges()));
+  auto resident = MakeFast("VGAE");
+  Rng fit_rng(17);
+  resident->Fit(fit, fit_rng);
+  config::ParamMap params;
+  params.Override("preset", "fast");
+  const std::string path = TempPath("update_block_backed.tgsim");
+  Status saved = eval::SaveArtifact(*resident, "VGAE", params, path);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  ASSERT_NE(FileBytes(path).find("tgsimblk"), std::string::npos);
+  Result<eval::LoadedArtifact> loaded = eval::LoadArtifact(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  Rng block_rng(23), resident_rng(23);
+  Status updated = loaded.value().generator->Update(delta, block_rng);
+  ASSERT_TRUE(updated.ok()) << updated.ToString();
+  ASSERT_TRUE(resident->Update(delta, resident_rng).ok());
+  std::stringstream from_blocks, from_resident;
+  ASSERT_TRUE(loaded.value().generator->SaveState(from_blocks).ok());
+  ASSERT_TRUE(resident->SaveState(from_resident).ok());
+  EXPECT_EQ(from_blocks.str(), from_resident.str());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -360,8 +360,7 @@ int RunMethods(const ParsedArgs& args) {
   }
   for (const std::string& name : names) {
     const eval::MethodSpec* spec = eval::FindMethod(name);
-    std::printf("%-10s %s%s\n", spec->name.c_str(), spec->summary.c_str(),
-                spec->supports_update ? " [updatable]" : "");
+    std::printf("%-10s %s\n", spec->name.c_str(), spec->summary.c_str());
     if (!verbose) continue;
     if (spec->schema.empty()) {
       std::printf("  (no tunable parameters)\n");
@@ -371,8 +370,6 @@ int RunMethods(const ParsedArgs& args) {
         std::printf("  preset=fast applies: %s\n",
                     spec->fast_preset.ToString().c_str());
     }
-    std::printf("  incremental update (tgsim update): %s\n",
-                spec->supports_update ? "supported" : "not supported");
     std::printf("\n");
   }
   if (!verbose)
