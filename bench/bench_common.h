@@ -12,7 +12,7 @@ namespace tgsim::bench {
 /// Downscale factor applied to each Table II mimic so that every method
 /// (including the O(n^2 T^2)-shaped baselines) terminates on a laptop CPU.
 /// The OOM emulation still uses the full paper-scale shapes, so the tables
-/// print the paper's OOM pattern. See EXPERIMENTS.md.
+/// print the paper's OOM pattern.
 inline double BenchScale(const std::string& dataset) {
   if (dataset == "DBLP") return 0.15;
   if (dataset == "EMAIL") return 0.02;

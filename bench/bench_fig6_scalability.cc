@@ -5,8 +5,8 @@
 // the paper's plots.
 //
 // Sizes are 1/10 of the paper's axis labels so every method finishes on a
-// laptop CPU; growth *shapes* (linear vs. quadratic) are preserved.
-// See EXPERIMENTS.md for the mapping.
+// laptop CPU; growth *shapes* (linear vs. quadratic) are preserved. A size
+// x printed here stands for 10x on the paper's axis.
 
 #include <cmath>
 #include <cstdio>

@@ -2,7 +2,8 @@
 // dominate TGAE's cost profile — dense matmul, the dense training loss
 // step, segment softmax, ego-graph sampling, bipartite stack construction,
 // snapshot accumulation, and the temporal motif census. Not a paper table;
-// used for the design-choice ablations called out in DESIGN.md.
+// they measure kernel-level design choices (blocking, SIMD dispatch, chunk
+// grains) before and after a change.
 
 #include <benchmark/benchmark.h>
 

@@ -192,6 +192,9 @@ int64_t TiggerGenerator::ResidentStateBytes() const {
 
 graphs::TemporalGraph TiggerGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(starts_ != nullptr);  // Requires a Fit() or LoadState().
+  // Forward only: without a tape, each hop's hidden state frees the
+  // previous one instead of keeping the whole walk alive.
+  nn::NoGradScope no_grad;
   const graphs::InitialNodeSampler& starts = *starts_;
   const int64_t budget = shape_.total_edges();
   const int n = shape_.num_nodes;

@@ -510,6 +510,9 @@ Status TgaeGenerator::LoadState(std::istream& in) {
 
 graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
   TGSIM_CHECK(support_ != nullptr);  // Requires a Fit() or LoadState().
+  // Forward only: each encode intermediate is freed when its handle drops
+  // instead of staying on a tape until the chunk's rows are read.
+  nn::NoGradScope no_grad;
   const int n = shape_.num_nodes;
   graphs::TemporalGraph out(n, shape_.num_timestamps);
 
@@ -576,7 +579,7 @@ graphs::TemporalGraph TgaeGenerator::Generate(Rng& rng) const {
         // discount: the decoder's output classes are per-node (that is
         // TGAE's O(n^2 T) advantage over TagGen's O(n^2 T^2) state space),
         // so within-window time preference cannot be learned and is
-        // supplied as a prior (DESIGN.md §2).
+        // supplied as a prior.
         support.clear();
         is_exact.clear();
         for (const auto& nb : graphs::WithinTimeWindow(

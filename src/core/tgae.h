@@ -47,7 +47,7 @@ struct TgaeConfig {
   /// neighbors from the window ring (|dt| > 0). The decoder's output
   /// classes are per-node — TGAE's complexity advantage over temporal-walk
   /// state spaces — so exact-time preference is supplied as a prior rather
-  /// than learned (DESIGN.md §2).
+  /// than learned.
   double generation_ring_weight = 0.005;
   /// n_s: sampled initial temporal nodes per training step (Eq. 7).
   int batch_centers = 32;

@@ -5,15 +5,15 @@ namespace tgsim::core {
 TgatLayer::TgatLayer(Rng& rng, int in_dim, int out_dim, int num_heads)
     : out_dim_(out_dim), num_heads_(num_heads) {
   TGSIM_CHECK_GE(num_heads, 1);
-  head_dim_ = std::max(1, out_dim / num_heads);
+  const int head_dim = std::max(1, out_dim / num_heads);
   for (int h = 0; h < num_heads_; ++h) {
     w_head_.push_back(
-        AddParam(nn::Tensor::GlorotUniform(rng, in_dim, head_dim_)));
+        AddParam(nn::Tensor::GlorotUniform(rng, in_dim, head_dim)));
     a_head_.push_back(
-        AddParam(nn::Tensor::GlorotUniform(rng, 2 * head_dim_, 1)));
+        AddParam(nn::Tensor::GlorotUniform(rng, 2 * head_dim, 1)));
   }
   w_out_ = AddParam(
-      nn::Tensor::GlorotUniform(rng, num_heads_ * head_dim_, out_dim));
+      nn::Tensor::GlorotUniform(rng, num_heads_ * head_dim, out_dim));
 }
 
 nn::Var TgatLayer::Forward(const nn::Var& src_feats,
@@ -21,35 +21,18 @@ nn::Var TgatLayer::Forward(const nn::Var& src_feats,
                            int n_dst) const {
   TGSIM_CHECK(!edges.src.empty());
   // All head projections in one blocked matmul against the concatenated
-  // head weights; per-head views are column slices. Column j of the batched
-  // product is the same dot products in the same order as the per-head
-  // matmul, so head outputs are bit-identical to the unbatched form. The
-  // concat node is rebuilt per forward pass so its grad buffer is fresh.
-  nn::Var proj_all =
-      num_heads_ == 1
-          ? nn::MatMul(src_feats, w_head_[0])
-          : nn::MatMul(src_feats, nn::ConcatCols(w_head_));
-  std::vector<nn::Var> heads;
-  heads.reserve(static_cast<size_t>(num_heads_));
-  for (int h = 0; h < num_heads_; ++h) {
-    nn::Var proj = num_heads_ == 1
-                       ? proj_all
-                       : nn::SliceCols(proj_all, h * head_dim_,
-                                       (h + 1) * head_dim_);
-    // Queries: the target node's own projection (target i is source i —
-    // the paper's self-loops).
-    nn::Var hs = nn::GatherRows(proj, edges.src);
-    nn::Var hd = nn::GatherRows(proj, edges.dst);
-    nn::Var scores = nn::LeakyRelu(
-        nn::MatMul(nn::ConcatCols({hs, hd}), a_head_[static_cast<size_t>(h)]),
-        0.2);
-    nn::Var alpha = nn::SegmentSoftmax(scores, edges.dst, n_dst);
-    nn::Var agg =
-        nn::SegmentSum(nn::MulColBroadcast(hs, alpha), edges.dst, n_dst);
-    heads.push_back(nn::LeakyRelu(agg, 0.2));
-  }
-  nn::Var cat = heads.size() == 1 ? heads[0] : nn::ConcatCols(heads);
-  return nn::MatMul(cat, w_out_);
+  // head weights: column j of the batched product is the same dot products
+  // in the same order as head j's own matmul. The concat node is rebuilt
+  // per forward pass so its grad buffer is fresh.
+  nn::Var proj = num_heads_ == 1
+                     ? nn::MatMul(src_feats, w_head_[0])
+                     : nn::MatMul(src_feats, nn::ConcatCols(w_head_));
+  // Queries are the targets' own projections (target i is source i: the
+  // paper's self-loops). The op writes each head's LeakyReLU'd aggregate
+  // into its columns of the concatenated head output.
+  nn::Var heads = nn::GraphAttention(proj, a_head_, edges.src, edges.dst,
+                                     n_dst, 0.2);
+  return nn::MatMul(heads, w_out_);
 }
 
 TgatEncoder::TgatEncoder(Rng& rng, int input_dim, int hidden_dim,

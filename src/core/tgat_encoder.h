@@ -36,7 +36,6 @@ class TgatLayer : public nn::Module {
  private:
   int out_dim_;
   int num_heads_;
-  int head_dim_;
   std::vector<nn::Var> w_head_;  // per head: in_dim x head_dim
   std::vector<nn::Var> a_head_;  // per head: 2*head_dim x 1
   nn::Var w_out_;                // heads*head_dim x out_dim

@@ -28,7 +28,9 @@ const DatasetSpec* FindDataset(const std::string& name);
 /// stand-in with the same scale (nodes/edges/timestamps after `scale`), a
 /// heavy-tailed degree profile (temporal preferential attachment), community
 /// structure (drives triangles/motifs), and gradual node arrival (drives the
-/// per-timestamp growth curves of Fig. 5). See DESIGN.md §2.
+/// per-timestamp growth curves of Fig. 5). It reproduces the statistics
+/// the paper's metrics read, not any real graph's edges, so absolute scores
+/// differ from the paper's tables while method rankings can be compared.
 struct MimicConfig {
   /// Multiplies nodes/edges/timestamps (timestamps floored at 8).
   double scale = 1.0;

@@ -28,7 +28,7 @@ struct RunOptions {
   /// of the preset, e.g. {"epochs=5"}.
   config::ParamMap method_params;
   /// Device budget for the paper-scale OOM emulation; 32 GB = the V100 of
-  /// the paper's testbed (DESIGN.md §2).
+  /// the paper's testbed.
   int64_t memory_budget_bytes = 32LL * 1024 * 1024 * 1024;
   /// Paper-scale shape used for the OOM decision. When unset, OOM
   /// emulation is disabled (everything runs).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -15,6 +17,9 @@ namespace {
 
 using parallel::kElementwiseGrain;
 using parallel::RowGrain;
+
+/// False while a NoGradScope is open on this thread.
+thread_local bool t_record_tape = true;
 
 /// Segment-id -> ascending member indices, in CSR form. Per-segment entry
 /// order equals the global entry order, so any per-segment accumulation
@@ -57,19 +62,27 @@ class SegmentIndex {
 /// inline, so a TGAE generate's (about 1000) still runs without the pool.
 constexpr int kSoftmaxCost = 16;
 
+/// Work per GraphAttention task at least, in multiply-adds (a softmax
+/// member counted as kSoftmaxCost): the MatMul panel floor, below which
+/// handing work to the pool costs more CPU than it saves wall time. The
+/// attention of a TGAE generate (up to about 1000 in-edges at two heads of
+/// width 16) runs inline, as the separate ops it replaces did.
+constexpr int64_t kAttentionGrain = int64_t{1} << 18;
+
 /// Runs fn(s0, s1) over consecutive segment ranges [s0, s1) that each cost
-/// about kElementwiseGrain summed scalars (`member_cost` per member), so a
-/// small segment op runs inline as one range. The ranges depend only on the
+/// about `grain` summed scalars (`member_cost` per member), so a small
+/// segment op runs inline as one range. The ranges depend only on the
 /// segment sizes, never on the thread count, and each segment (and so
 /// each output row it owns) belongs to exactly one range.
 template <typename Fn>
-void ForSegmentChunks(const SegmentIndex& index, int member_cost, Fn&& fn) {
+void ForSegmentChunks(const SegmentIndex& index, int member_cost, Fn&& fn,
+                      int64_t grain = kElementwiseGrain) {
   const int num_segments = index.num_segments();
   std::vector<int> bounds{0};
   int64_t scalars = 0;
   for (int s = 0; s < num_segments; ++s) {
     scalars += (index.end(s) - index.begin(s)) * int64_t{member_cost};
-    if (scalars >= kElementwiseGrain && s + 1 < num_segments) {
+    if (scalars >= grain && s + 1 < num_segments) {
       bounds.push_back(s + 1);
       scalars = 0;
     }
@@ -105,23 +118,32 @@ Scalar Var::item() const {
   return node_->value.at(0, 0);
 }
 
+NoGradScope::NoGradScope() : previous_(t_record_tape) {
+  t_record_tape = false;
+}
+
+NoGradScope::~NoGradScope() { t_record_tape = previous_; }
+
 namespace {
 
-/// Builds an op node: value, parent edges and the backward closure.
-Var MakeOp(Tensor value, std::vector<Var> parents,
-           std::function<void(Node&)> backward) {
+/// Builds an op node: value, parent edges and the backward closure. Under
+/// a NoGradScope the node keeps its value only, and the closure is never
+/// wrapped in a std::function.
+template <typename BackwardFn>
+Var MakeOp(Tensor value, std::vector<Var> parents, BackwardFn&& backward) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
+  for (const Var& p : parents) TGSIM_CHECK(p.defined());
+  if (!t_record_tape) return Var::FromNode(std::move(node));
   node->parents.reserve(parents.size());
   bool needs_grad = false;
   for (const Var& p : parents) {
-    TGSIM_CHECK(p.defined());
     node->parents.push_back(p.node());
     needs_grad = needs_grad || p.node()->requires_grad;
   }
   node->requires_grad = needs_grad;
-  if (needs_grad) node->backward_fn = std::move(backward);
-  return Var::FromNode(node);
+  if (needs_grad) node->backward_fn = std::forward<BackwardFn>(backward);
+  return Var::FromNode(std::move(node));
 }
 
 /// True if `p` participates in differentiation (grad must be accumulated).
@@ -374,12 +396,14 @@ Var RowKernelOp(const Var& a, FwdFn fwd, BwdFn bwd) {
   });
 }
 
-/// Shared plumbing for elementwise y=f(x) with dy/dx expressible from y / x.
-/// Kept for the activations whose f is a libm call the SIMD backends do not
+/// Shared plumbing for elementwise y=f(x) with dy/dx = dydx(x, y). Kept
+/// for the activations whose f is a libm call the SIMD backends do not
 /// mirror (tanh, log) or that are cold (square); the hot activations go
-/// through RowKernelOp above.
-Var ElementwiseOp(const Var& a, const std::function<Scalar(Scalar)>& fwd,
-                  std::function<Scalar(Scalar x, Scalar y)> dydx) {
+/// through RowKernelOp above. Like RowKernelOp's, both callables are
+/// template parameters, so each element's call is inlined rather than
+/// made through a type-erased wrapper.
+template <typename FwdFn, typename DydxFn>
+Var ElementwiseOp(const Var& a, FwdFn fwd, DydxFn dydx) {
   Tensor out = a.value();
   parallel::ParallelFor(0, out.size(), kElementwiseGrain,
                         [&](int64_t b, int64_t e) {
@@ -387,7 +411,7 @@ Var ElementwiseOp(const Var& a, const std::function<Scalar(Scalar)>& fwd,
                             out.data()[i] = fwd(out.data()[i]);
                         });
   return MakeOp(std::move(out), {a},
-                [dydx = std::move(dydx)](Node& self) {
+                [dydx](Node& self) {
                   auto& pa = self.parents[0];
                   if (!NeedsGrad(pa)) return;
                   pa->EnsureGrad();
@@ -741,6 +765,225 @@ Var SegmentSoftmax(const Var& scores, std::vector<int> seg,
               pa->grad.at(members[i], 0) = gi_s[static_cast<size_t>(i)];
           }
         });
+      });
+}
+
+namespace {
+
+/// What GraphAttention's backward reads, saved only when the op records a
+/// tape. Per-edge entries are edge-major: entry i * H + h is edge i, head h.
+struct AttentionTape {
+  std::vector<int> src;
+  std::vector<int> dst;
+  SegmentIndex by_dst;        // target -> its in-edges, ascending
+  SegmentIndex by_src;        // projection row -> the edges it sources
+  std::vector<Scalar> alpha;  // attention weight
+  std::vector<Scalar> raw;    // score before its LeakyReLU
+  Tensor agg;                 // head outputs before their LeakyReLU
+};
+
+}  // namespace
+
+// GraphAttention replays the per-head composition (see autograd.h) with its
+// arithmetic unchanged:
+//  - Forward: a score is the MatMul's one ascending chain over
+//    [proj[src] || proj[dst]] . a_h, the softmax runs SoftmaxRow over the
+//    target's in-edges in ascending edge order as SegmentSoftmax does, and
+//    the aggregate chains alpha * proj[src] over the same edges from +0.0
+//    as MulColBroadcast + SegmentSum do.
+//  - Backward: every gradient the composition accumulates into a freshly
+//    zeroed tensor is one add chain from +0.0 here too, in the same order.
+//    The composition's extra `0.0 + x` steps (a fresh tensor taking its
+//    first term) only turn a -0.0 term into +0.0; every such term ends up
+//    added to a chain that starts at +0.0, and such a chain never holds
+//    -0.0, so adding a zero of either sign leaves the same bits. The
+//    per-edge [E x d] gradients of the gathers are never stored: a
+//    projection row takes each term as soon as it is formed.
+Var GraphAttention(const Var& proj, const std::vector<Var>& a_heads,
+                   const std::vector<int>& src, const std::vector<int>& dst,
+                   int n_dst, Scalar slope) {
+  const int heads = static_cast<int>(a_heads.size());
+  TGSIM_CHECK_GE(heads, 1);
+  const int width = proj.cols();
+  const int d = width / heads;
+  TGSIM_CHECK_EQ(d * heads, width);
+  for (const Var& a : a_heads) {
+    TGSIM_CHECK_EQ(a.rows(), 2 * d);
+    TGSIM_CHECK_EQ(a.cols(), 1);
+  }
+  const int n_src = proj.rows();
+  TGSIM_CHECK(0 <= n_dst && n_dst <= n_src);
+  TGSIM_CHECK_EQ(src.size(), dst.size());
+  for (size_t i = 0; i < src.size(); ++i)
+    TGSIM_CHECK(src[i] >= 0 && src[i] < n_src && dst[i] >= 0 &&
+                dst[i] < n_dst);
+
+  bool needs_grad = proj.requires_grad();
+  for (const Var& a : a_heads) needs_grad = needs_grad || a.requires_grad();
+  const bool record = t_record_tape && needs_grad;
+  const Tensor& x = proj.value();
+  const size_t num_entries = src.size() * static_cast<size_t>(heads);
+  auto entry = [heads](int i, int h) {
+    return static_cast<size_t>(i * heads + h);
+  };
+  SegmentIndex by_dst(dst, n_dst);
+  std::vector<Scalar> alpha(record ? num_entries : 0);
+  std::vector<Scalar> raw(record ? num_entries : 0);
+  Tensor agg = record ? Tensor(n_dst, width) : Tensor();
+  Tensor out(n_dst, width);
+  // Per in-edge and head: the 2d-long score, a softmax member and a d-long
+  // aggregate update.
+  const int member_cost = 3 * width + heads * kSoftmaxCost;
+  ForSegmentChunks(
+      by_dst, member_cost,
+      [&](int64_t s0, int64_t s1) {
+        std::vector<Scalar> scores, probs;
+        for (int64_t si = s0; si < s1; ++si) {
+          const int s = static_cast<int>(si);
+          const int* members = by_dst.begin(s);
+          const int count = static_cast<int>(by_dst.end(s) - members);
+          Scalar* o = out.row(s);
+          scores.resize(static_cast<size_t>(count));
+          probs.resize(static_cast<size_t>(count));
+          for (int h = 0; count > 0 && h < heads; ++h) {
+            const Scalar* a = a_heads[static_cast<size_t>(h)].value().data();
+            const Scalar* query = x.row(s) + h * d;
+            for (int j = 0; j < count; ++j) {
+              const int i = members[j];
+              Scalar e = kernels::Dot(
+                  x.row(src[static_cast<size_t>(i)]) + h * d, a, d);
+              for (int k = 0; k < d; ++k) e += query[k] * a[d + k];
+              if (record) raw[entry(i, h)] = e;
+              scores[static_cast<size_t>(j)] = e > 0.0 ? e : slope * e;
+            }
+            kernels::SoftmaxRow(scores.data(), probs.data(), count);
+            for (int j = 0; j < count; ++j) {
+              const int i = members[j];
+              kernels::AxpyRow(probs[static_cast<size_t>(j)],
+                               x.row(src[static_cast<size_t>(i)]) + h * d,
+                               o + h * d, d);
+              if (record) alpha[entry(i, h)] = probs[static_cast<size_t>(j)];
+            }
+          }
+          if (record)
+            std::memcpy(agg.row(s), o,
+                        static_cast<size_t>(width) * sizeof(Scalar));
+          kernels::LeakyReluRow(o, slope, o, width);
+        }
+      },
+      kAttentionGrain);
+
+  std::vector<Var> parents{proj};
+  parents.insert(parents.end(), a_heads.begin(), a_heads.end());
+  if (!record) return MakeOp(std::move(out), std::move(parents), [](Node&) {});
+  auto tape = std::make_shared<const AttentionTape>(AttentionTape{
+      src, dst, std::move(by_dst), SegmentIndex(src, n_src), std::move(alpha),
+      std::move(raw), std::move(agg)});
+  return MakeOp(
+      std::move(out), std::move(parents),
+      [tape = std::move(tape), heads, d, member_cost, slope,
+       entry](Node& self) {
+        const AttentionTape& t = *tape;
+        const Tensor& x = self.parents[0]->value;
+        const Tensor& g = self.grad;
+        const int width = heads * d;
+        const int num_edges = static_cast<int>(t.src.size());
+        auto a_of = [&](int h) {
+          return self.parents[static_cast<size_t>(1 + h)]->value.data();
+        };
+
+        // Per target: g_agg, the aggregate's gradient through the output
+        // LeakyReLU, then per in-edge g_raw, the score's gradient through
+        // the softmax and the score LeakyReLU.
+        Tensor g_agg(g.rows(), width);
+        std::vector<Scalar> g_raw(t.src.size() * static_cast<size_t>(heads));
+        ForSegmentChunks(
+            t.by_dst, member_cost,
+            [&](int64_t s0, int64_t s1) {
+              std::vector<Scalar> g_alpha, alpha;
+              for (int64_t si = s0; si < s1; ++si) {
+                const int s = static_cast<int>(si);
+                kernels::LeakyReluBwdRow(g.row(s), t.agg.row(s), slope,
+                                         g_agg.row(s), width);
+                const int* members = t.by_dst.begin(s);
+                const int count = static_cast<int>(t.by_dst.end(s) - members);
+                g_alpha.resize(static_cast<size_t>(count));
+                alpha.resize(static_cast<size_t>(count));
+                for (int h = 0; count > 0 && h < heads; ++h) {
+                  for (int j = 0; j < count; ++j) {
+                    const int i = members[j];
+                    g_alpha[static_cast<size_t>(j)] = kernels::Dot(
+                        g_agg.row(s) + h * d,
+                        x.row(t.src[static_cast<size_t>(i)]) + h * d, d);
+                    alpha[static_cast<size_t>(j)] = t.alpha[entry(i, h)];
+                  }
+                  const Scalar dot =
+                      kernels::Dot(g_alpha.data(), alpha.data(), count);
+                  for (int j = 0; j < count; ++j) {
+                    const int i = members[j];
+                    const Scalar g_score =
+                        alpha[static_cast<size_t>(j)] *
+                        (g_alpha[static_cast<size_t>(j)] - dot);
+                    g_raw[entry(i, h)] =
+                        g_score * (t.raw[entry(i, h)] > 0.0 ? 1.0 : slope);
+                  }
+                }
+              }
+            },
+            kAttentionGrain);
+
+        // a_h: one chain per element over the edges in ascending order.
+        std::vector<Scalar> acc(static_cast<size_t>(2 * d));
+        for (int h = 0; h < heads; ++h) {
+          auto& pa = self.parents[static_cast<size_t>(1 + h)];
+          if (!NeedsGrad(pa)) continue;
+          pa->EnsureGrad();
+          std::fill(acc.begin(), acc.end(), 0.0);
+          for (int i = 0; i < num_edges; ++i) {
+            const Scalar gr = g_raw[entry(i, h)];
+            kernels::AxpyRow(gr, x.row(t.src[static_cast<size_t>(i)]) + h * d,
+                             acc.data(), d);
+            kernels::AxpyRow(gr, x.row(t.dst[static_cast<size_t>(i)]) + h * d,
+                             acc.data() + d, d);
+          }
+          kernels::AddRow(pa->grad.data(), acc.data(), 2 * d);
+        }
+
+        // proj: per row, its target-side terms, then its source-side terms
+        // (the alpha * g_agg part plus the score part), each in ascending
+        // edge order.
+        auto& pp = self.parents[0];
+        if (!NeedsGrad(pp)) return;
+        pp->EnsureGrad();
+        const int n_src = x.rows();
+        const int n_dst = g.rows();
+        const int64_t row_work =
+            int64_t{width} * std::max(1, 2 * num_edges / std::max(1, n_src));
+        parallel::ParallelFor(
+            0, n_src, std::max<int64_t>(1, kAttentionGrain / row_work),
+            [&](int64_t r0, int64_t r1) {
+              for (int r = static_cast<int>(r0); r < r1; ++r) {
+                Scalar* gr = pp->grad.row(r);
+                if (r < n_dst)
+                  for (const int* it = t.by_dst.begin(r);
+                       it != t.by_dst.end(r); ++it)
+                    for (int h = 0; h < heads; ++h)
+                      kernels::AxpyRow(g_raw[entry(*it, h)], a_of(h) + d,
+                                       gr + h * d, d);
+                for (const int* it = t.by_src.begin(r); it != t.by_src.end(r);
+                     ++it) {
+                  const Scalar* ga =
+                      g_agg.row(t.dst[static_cast<size_t>(*it)]);
+                  for (int h = 0; h < heads; ++h) {
+                    const Scalar al = t.alpha[entry(*it, h)];
+                    const Scalar gs = g_raw[entry(*it, h)];
+                    const Scalar* a = a_of(h);
+                    for (int c = 0; c < d; ++c)
+                      gr[h * d + c] += al * ga[h * d + c] + gs * a[c];
+                  }
+                }
+              }
+            });
       });
 }
 

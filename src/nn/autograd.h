@@ -71,6 +71,25 @@ class Var {
 /// requires grad; call ZeroGrad (or Adam::ZeroGrad) between steps.
 void Backward(const Var& root);
 
+/// While one is open on a thread, the ops built on that thread record no
+/// tape: a result has no parents and no backward closure and requires no
+/// grad, so each intermediate is freed when its last handle drops instead
+/// of staying alive until the graph's root does. Values are unchanged;
+/// only Backward through such a result is impossible. Scopes nest, and the
+/// destructor restores the state its constructor found, also when an
+/// exception unwinds through it. The generators' forward-only Generate
+/// opens one; training never does.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
 // ---------------------------------------------------------------------------
 // Differentiable ops. Each returns a fresh Var wired into the graph.
 // ---------------------------------------------------------------------------
@@ -90,6 +109,8 @@ Var Sub(const Var& a, const Var& b);
 /// Elementwise (Hadamard) product, same shape.
 Var Mul(const Var& a, const Var& b);
 /// Broadcasts the E x 1 column `w` across a's columns: out[i,j]=a[i,j]*w[i].
+/// A building block of the per-head attention composition that
+/// GraphAttention is tested against bit for bit.
 Var MulColBroadcast(const Var& a, const Var& w);
 /// a * s.
 Var Scale(const Var& a, Scalar s);
@@ -116,8 +137,9 @@ Var Mean(const Var& a);
 
 /// Column-wise concatenation [a0 | a1 | ...]; all inputs share rows.
 Var ConcatCols(const std::vector<Var>& vs);
-/// Columns [begin, end) of a; backward scatter-adds into the slice. Used to
-/// split per-head views out of a batched multi-head projection.
+/// Columns [begin, end) of a; backward scatter-adds into the slice. It
+/// splits the per-head views out of the batched projection in the
+/// attention composition that GraphAttention is tested against bit for bit.
 Var SliceCols(const Var& a, int begin, int end);
 /// out.row(i) = a.row(idx[i]); backward scatter-adds.
 Var GatherRows(const Var& a, std::vector<int> idx);
@@ -132,6 +154,31 @@ Var SegmentSum(const Var& a, std::vector<int> seg, int num_segments);
 /// [0, num_segments). This is the attention-normalization primitive of the
 /// TGAT encoder (paper Eq. 5). Empty segments produce no output entries.
 Var SegmentSoftmax(const Var& scores, std::vector<int> seg, int num_segments);
+/// Multi-head graph attention over the bipartite edges (src[i] -> dst[i])
+/// of one TGAT layer (paper Eq. 3-5), the output of every head written
+/// straight into its columns of one [n_dst x H*d] tensor. `proj` holds the
+/// H head projections side by side ([n_src x H*d]; head h owns columns
+/// [h*d, (h+1)*d)), and a_heads[h] is head h's 2d x 1 attention vector.
+/// Target i is projection row i, whose slice is its query. Per head and
+/// target s, over the edges into s in ascending edge order:
+///   e_i = LeakyReLU(a_h . [proj[src_i] || proj[s]], slope)
+///   alpha = softmax(e)
+///   out[s] = LeakyReLU(sum_i alpha_i proj[src_i], slope)
+/// A target without in-edges gets a zero output row and passes its
+/// projection row no gradient. Value and gradients are bit-identical to the
+/// per-head composition SliceCols, GatherRows by src and by dst,
+/// ConcatCols, MatMul with a_h, LeakyRelu, SegmentSoftmax, MulColBroadcast,
+/// SegmentSum and LeakyRelu, concatenated with ConcatCols, whenever proj's
+/// gradient is zero when the backward reaches it (as a freshly computed
+/// projection's is): each projection row takes its target-side terms
+/// before its source-side terms, each in ascending edge order, and each
+/// element of an a_h gradient is one ascending chain over the edges from
+/// +0.0. The op keeps no per-edge [E x d] tensor; its backward saves
+/// O(E*H) scalars and the [n_dst x H*d] pre-activation.
+Var GraphAttention(const Var& proj, const std::vector<Var>& a_heads,
+                   const std::vector<int>& src, const std::vector<int>& dst,
+                   int n_dst, Scalar slope);
+
 Var Transpose(const Var& a);
 
 // ---------------------------------------------------------------------------

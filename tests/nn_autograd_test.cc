@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -240,6 +241,20 @@ std::vector<OpCase> AllOpCases() {
                      return BinaryCrossEntropyWithLogits(p[0], target, 2.5);
                    },
                    {{3, 3}}});
+  cases.push_back({"graph_attention",
+                   [](const std::vector<Var>& p) {
+                     // Two heads of width 2 over 6 source rows into 4
+                     // targets; target 2 has no in-edges.
+                     Tensor w(4, 4);
+                     for (int i = 0; i < 16; ++i)
+                       w.data()[i] = 0.1 * (i % 7) - 0.25;
+                     return Sum(Mul(GraphAttention(p[0], {p[1], p[2]},
+                                                   {4, 0, 1, 5, 3, 1, 0},
+                                                   {0, 0, 1, 1, 3, 3, 3}, 4,
+                                                   0.2),
+                                    Var::Constant(w)));
+                   },
+                   {{6, 4}, {4, 1}, {4, 1}}});
   return cases;
 }
 
@@ -406,6 +421,120 @@ TEST(FusedOpTest, AffineIsAddOfMatMulBitForBit) {
     EXPECT_TRUE(SameBits(ref.value(), got.value()));
     for (size_t i = 0; i < ref_p.size(); ++i)
       EXPECT_TRUE(SameBits(ref_p[i].grad(), got_p[i].grad())) << "param " << i;
+  }
+}
+
+/// The per-head composition GraphAttention replaces, as TgatLayer built it
+/// from separate ops.
+Var AttentionComposition(const Var& proj, const std::vector<Var>& a_heads,
+                         const std::vector<int>& src,
+                         const std::vector<int>& dst, int n_dst,
+                         Scalar slope) {
+  const int heads = static_cast<int>(a_heads.size());
+  const int d = proj.cols() / heads;
+  std::vector<Var> outs;
+  for (int h = 0; h < heads; ++h) {
+    Var p = heads == 1 ? proj : SliceCols(proj, h * d, (h + 1) * d);
+    Var hs = GatherRows(p, src);
+    Var hd = GatherRows(p, dst);
+    Var scores = LeakyRelu(
+        MatMul(ConcatCols({hs, hd}), a_heads[static_cast<size_t>(h)]), slope);
+    Var alpha = SegmentSoftmax(scores, dst, n_dst);
+    outs.push_back(LeakyRelu(
+        SegmentSum(MulColBroadcast(hs, alpha), dst, n_dst), slope));
+  }
+  return heads == 1 ? outs[0] : ConcatCols(outs);
+}
+
+TEST(FusedOpTest, GraphAttentionIsTheCompositionBitForBit) {
+  // 9 projection rows, 5 targets. Edges arrive unsorted, sources repeat,
+  // target 2 has no in-edges and row 2 sources none: the composition
+  // writes a zero output row for it and passes that row no gradient.
+  const std::vector<int> src = {7, 0, 3, 1, 8, 4, 3, 0, 6, 4, 1, 5, 8};
+  const std::vector<int> dst = {4, 0, 1, 1, 3, 0, 4, 3, 1, 4, 4, 0, 3};
+  const int n_src = 9, n_dst = 5, d = 3;
+  for (int heads : {1, 2, 3}) {
+    SCOPED_TRACE(heads);
+    Rng rng = MakeRng(17);
+    const Tensor proj = Tensor::Randn(rng, n_src, heads * d);
+    std::vector<Tensor> a;
+    for (int h = 0; h < heads; ++h) a.push_back(Tensor::Randn(rng, 2 * d, 1));
+    const Tensor mix = Tensor::Randn(rng, n_dst, heads * d);
+    auto run = [&](bool fused) {
+      std::vector<Var> p = {Var::Param(proj)};
+      for (const Tensor& t : a) p.push_back(Var::Param(t));
+      for (Var& v : p) v.ZeroGrad();
+      const std::vector<Var> a_heads(p.begin() + 1, p.end());
+      Var y = fused ? GraphAttention(p[0], a_heads, src, dst, n_dst, 0.2)
+                    : AttentionComposition(p[0], a_heads, src, dst, n_dst,
+                                           0.2);
+      Backward(Sum(Mul(y, Var::Constant(mix))));
+      return std::make_pair(y, p);
+    };
+    auto [ref, ref_p] = run(false);
+    auto [got, got_p] = run(true);
+    EXPECT_TRUE(SameBits(ref.value(), got.value()));
+    for (size_t i = 0; i < ref_p.size(); ++i)
+      EXPECT_TRUE(SameBits(ref_p[i].grad(), got_p[i].grad())) << "param " << i;
+    for (int c = 0; c < heads * d; ++c) {
+      EXPECT_EQ(got.value().at(2, c), 0.0);
+      EXPECT_EQ(got_p[0].grad().at(2, c), 0.0);
+    }
+  }
+}
+
+TEST(OpDeathTest, GraphAttentionRejectsBadShapes) {
+  Var proj = Var::Constant(Tensor(4, 6));
+  Var a = Var::Constant(Tensor(6, 1));  // Fits two heads of width 3.
+  // 6 columns do not split into 4 heads.
+  EXPECT_DEATH(GraphAttention(proj, {a, a, a, a}, {0}, {0}, 2, 0.2),
+               "CHECK failed");
+  // One head of width 6 needs a 12 x 1 attention vector.
+  EXPECT_DEATH(GraphAttention(proj, {a}, {0}, {0}, 2, 0.2), "CHECK failed");
+  // A source past the projection rows, a target past n_dst, and more
+  // targets than projection rows.
+  EXPECT_DEATH(GraphAttention(proj, {a, a}, {4}, {0}, 2, 0.2),
+               "CHECK failed");
+  EXPECT_DEATH(GraphAttention(proj, {a, a}, {0}, {2}, 2, 0.2),
+               "CHECK failed");
+  EXPECT_DEATH(GraphAttention(proj, {a, a}, {0}, {0}, 5, 0.2),
+               "CHECK failed");
+}
+
+TEST(NoGradScopeTest, OpsUnderItRecordNoTape) {
+  Var x = Var::Param(Tensor::Full(2, 2, 0.5));
+  Var w = Var::Param(Tensor::Full(2, 2, 1.5));
+  auto records = [&] {
+    Var y = Tanh(MatMul(x, w));
+    return y.requires_grad() && y.node()->parents.size() == 1 &&
+           static_cast<bool>(y.node()->backward_fn);
+  };
+  EXPECT_TRUE(records());
+  Tensor taped = Tanh(MatMul(x, w)).value();
+  {
+    NoGradScope outer;
+    Var y = Tanh(MatMul(x, w));
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(static_cast<bool>(y.node()->backward_fn));
+    EXPECT_TRUE(SameBits(y.value(), taped));  // Values do not change.
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(records());
+    }
+    EXPECT_FALSE(records());  // Closing the inner scope keeps the outer one.
+  }
+  EXPECT_TRUE(records());
+  try {
+    NoGradScope scope;
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(records());
+  // Parameters made under a scope stay trainable.
+  {
+    NoGradScope scope;
+    EXPECT_TRUE(Var::Param(Tensor::Ones(1, 1)).requires_grad());
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "datasets/synthetic.h"
@@ -109,12 +110,16 @@ TEST(TgatLayerTest, MatchesIdentityQueryGatherCompositionBitForBit) {
           parallel::ThreadPool::DefaultNumThreads());
     }
   } guard;
-  for (int num_heads : {1, 2}) {
+  // Both layers of a radius-2 stack, with 3 heads not dividing the width.
+  for (auto [num_heads, l] : {std::pair{1, 1}, std::pair{2, 1},
+                              std::pair{3, 1}, std::pair{1, 0},
+                              std::pair{2, 0}, std::pair{3, 0}}) {
     Rng rng(6);
     graphs::BipartiteStack stack = MakeStack(2, 32, g, rng);
-    const graphs::BipartiteLayer& edges = stack.layers[1];
-    const int n_src = static_cast<int>(stack.layer_nodes[2].size());
-    const int n_dst = static_cast<int>(stack.layer_nodes[1].size());
+    const auto li = static_cast<size_t>(l);
+    const graphs::BipartiteLayer& edges = stack.layers[li];
+    const int n_src = static_cast<int>(stack.layer_nodes[li + 1].size());
+    const int n_dst = static_cast<int>(stack.layer_nodes[li].size());
     TgatLayer layer(rng, 16, 16, num_heads);
     nn::Var src = nn::Var::Param(nn::Tensor::Randn(rng, n_src, 16));
     const nn::Var out_weights =
@@ -142,7 +147,8 @@ TEST(TgatLayerTest, MatchesIdentityQueryGatherCompositionBitForBit) {
       for (size_t i = 0; i < want.size(); ++i)
         EXPECT_TRUE(BitIdentical(want[i], got[i]))
             << "tensor " << i << " (0 = output, last = input gradient), "
-            << num_heads << " heads, " << threads << " threads";
+            << num_heads << " heads, layer " << l << ", " << threads
+            << " threads";
     }
   }
 }
