@@ -782,15 +782,56 @@ struct AttentionTape {
   Tensor agg;                 // head outputs before their LeakyReLU
 };
 
+/// One raw attention score: the MatMul's single ascending chain from +0.0
+/// over the source half `s . a[0, d)`, then the query half
+/// `q . a[d, 2d)`.
+inline Scalar Score(const Scalar* TGSIM_RESTRICT s,
+                    const Scalar* TGSIM_RESTRICT q,
+                    const Scalar* TGSIM_RESTRICT a, int d) {
+  Scalar e = kernels::Dot(s, a, d);
+  for (int k = 0; k < d; ++k) e += q[k] * a[d + k];
+  return e;
+}
+
+/// Four edges' Score chains at once into e[0, 4): each chain keeps its
+/// own order, and four independent chains keep the adder busy where one
+/// would wait on its own latency.
+inline void Score4(const Scalar* const* s, const Scalar* const* q,
+                   const Scalar* TGSIM_RESTRICT a, int d,
+                   Scalar* TGSIM_RESTRICT e) {
+  Scalar e0 = 0.0, e1 = 0.0, e2 = 0.0, e3 = 0.0;
+  for (int k = 0; k < d; ++k) {
+    e0 += s[0][k] * a[k];
+    e1 += s[1][k] * a[k];
+    e2 += s[2][k] * a[k];
+    e3 += s[3][k] * a[k];
+  }
+  for (int k = 0; k < d; ++k) {
+    e0 += q[0][k] * a[d + k];
+    e1 += q[1][k] * a[d + k];
+    e2 += q[2][k] * a[d + k];
+    e3 += q[3][k] * a[d + k];
+  }
+  e[0] = e0;
+  e[1] = e1;
+  e[2] = e2;
+  e[3] = e3;
+}
+
 }  // namespace
 
 // GraphAttention replays the per-head composition (see autograd.h) with its
 // arithmetic unchanged:
 //  - Forward: a score is the MatMul's one ascending chain over
-//    [proj[src] || proj[dst]] . a_h, the softmax runs SoftmaxRow over the
-//    target's in-edges in ascending edge order as SegmentSoftmax does, and
-//    the aggregate chains alpha * proj[src] over the same edges from +0.0
-//    as MulColBroadcast + SegmentSum do.
+//    [proj[src] || proj[dst]] . a_h, the softmax is SoftmaxRow's over the
+//    target's in-edges in ascending edge order as SegmentSoftmax runs it,
+//    and the aggregate chains alpha * proj[src] over the same edges from
+//    +0.0 as MulColBroadcast + SegmentSum do. It runs as passes over each
+//    chunk of targets: the scores of all its in-edges (four chains in
+//    flight), then LeakyReLU, each target's max and the shift, then one
+//    ExpRow over the chunk (ExpD(x - m) is ExpD((x - m) - 0.0)), then per
+//    target the FixedShapeSum z ExpRowSum would return, the division and
+//    the aggregation.
 //  - Backward: every gradient the composition accumulates into a freshly
 //    zeroed tensor is one add chain from +0.0 here too, in the same order.
 //    The composition's extra `0.0 + x` steps (a fresh tensor taking its
@@ -834,35 +875,70 @@ Var GraphAttention(const Var& proj, const std::vector<Var>& a_heads,
   // Per in-edge and head: the 2d-long score, a softmax member and a d-long
   // aggregate update.
   const int member_cost = 3 * width + heads * kSoftmaxCost;
+  // Every chunk's scores, then their exps, at heads times its first
+  // in-edge's position in target order.
+  std::vector<Scalar> scores(num_entries);
   ForSegmentChunks(
       by_dst, member_cost,
       [&](int64_t s0, int64_t s1) {
-        std::vector<Scalar> scores, probs;
+        // The chunk's in-edges, target by target; edge j of the chunk is
+        // edges[j]. Its scores are head-major (head h of edge j at
+        // e[h * n + j]), so one target's scores of one head are contiguous.
+        const int* edges = by_dst.begin(static_cast<int>(s0));
+        const int n = static_cast<int>(by_dst.begin(static_cast<int>(s1)) -
+                                       edges);
+        Scalar* e = scores.data() + (edges - by_dst.begin(0)) * heads;
+        auto src_row = [&](int j, int h) {
+          return x.row(src[static_cast<size_t>(edges[j])]) + h * d;
+        };
+        auto dst_row = [&](int j, int h) {
+          return x.row(dst[static_cast<size_t>(edges[j])]) + h * d;
+        };
+        // Raw scores, four edges' chains in flight.
+        for (int h = 0; h < heads; ++h) {
+          const Scalar* a = a_heads[static_cast<size_t>(h)].value().data();
+          Scalar* eh = e + static_cast<size_t>(h) * n;
+          int j = 0;
+          for (; j + 3 < n; j += 4) {
+            const Scalar* s[4] = {src_row(j, h), src_row(j + 1, h),
+                                  src_row(j + 2, h), src_row(j + 3, h)};
+            const Scalar* q[4] = {dst_row(j, h), dst_row(j + 1, h),
+                                  dst_row(j + 2, h), dst_row(j + 3, h)};
+            Score4(s, q, a, d, eh + j);
+          }
+          for (; j < n; ++j) eh[j] = Score(src_row(j, h), dst_row(j, h), a, d);
+        }
+        // Softmax logits, each shifted by its target's max, then their exps.
+        if (record)
+          for (int h = 0; h < heads; ++h)
+            for (int j = 0; j < n; ++j)
+              raw[entry(edges[j], h)] = e[static_cast<size_t>(h) * n + j];
+        kernels::LeakyReluRow(e, slope, e, n * heads);
         for (int64_t si = s0; si < s1; ++si) {
           const int s = static_cast<int>(si);
-          const int* members = by_dst.begin(s);
-          const int count = static_cast<int>(by_dst.end(s) - members);
-          Scalar* o = out.row(s);
-          scores.resize(static_cast<size_t>(count));
-          probs.resize(static_cast<size_t>(count));
+          const int first = static_cast<int>(by_dst.begin(s) - edges);
+          const int count = static_cast<int>(by_dst.end(s) - by_dst.begin(s));
           for (int h = 0; count > 0 && h < heads; ++h) {
-            const Scalar* a = a_heads[static_cast<size_t>(h)].value().data();
-            const Scalar* query = x.row(s) + h * d;
+            Scalar* es = e + static_cast<size_t>(h) * n + first;
+            const Scalar m = kernels::RowMax(es, count);
+            for (int j = 0; j < count; ++j) es[j] -= m;
+          }
+        }
+        kernels::ExpRow(e, 0.0, e, n * heads);
+        // Per target: the weights and the LeakyReLU'd weighted sums.
+        for (int64_t si = s0; si < s1; ++si) {
+          const int s = static_cast<int>(si);
+          const int first = static_cast<int>(by_dst.begin(s) - edges);
+          const int count = static_cast<int>(by_dst.end(s) - by_dst.begin(s));
+          Scalar* o = out.row(s);
+          for (int h = 0; count > 0 && h < heads; ++h) {
+            Scalar* es = e + static_cast<size_t>(h) * n + first;
+            const Scalar z = kernels::scalar::FixedShapeSum(es, count);
+            Scalar* oh = o + h * d;
             for (int j = 0; j < count; ++j) {
-              const int i = members[j];
-              Scalar e = kernels::Dot(
-                  x.row(src[static_cast<size_t>(i)]) + h * d, a, d);
-              for (int k = 0; k < d; ++k) e += query[k] * a[d + k];
-              if (record) raw[entry(i, h)] = e;
-              scores[static_cast<size_t>(j)] = e > 0.0 ? e : slope * e;
-            }
-            kernels::SoftmaxRow(scores.data(), probs.data(), count);
-            for (int j = 0; j < count; ++j) {
-              const int i = members[j];
-              kernels::AxpyRow(probs[static_cast<size_t>(j)],
-                               x.row(src[static_cast<size_t>(i)]) + h * d,
-                               o + h * d, d);
-              if (record) alpha[entry(i, h)] = probs[static_cast<size_t>(j)];
+              const Scalar p = es[j] / z;
+              kernels::scalar::AxpyRow(p, src_row(first + j, h), oh, d);
+              if (record) alpha[entry(edges[first + j], h)] = p;
             }
           }
           if (record)

@@ -25,10 +25,12 @@ namespace tgsim::nn::kernels {
 ///    the contract pins outputs bit-identical to the serial reference at
 ///    any thread count and on any backend. SIMD variants may only
 ///    vectorize across independent outputs.
-///  - ExpRowSum is the one sanctioned fixed-shape reduction: four
-///    accumulators fed from consecutive indices, combined ((a0+a1)+a2)+a3,
-///    with an ascending scalar tail. The shape depends only on n, so the
-///    scalar reference and every SIMD variant produce the same bits.
+///  - ExpRowSum's sum is the one sanctioned fixed-shape reduction,
+///    defined once as scalar::FixedShapeSum: four accumulators fed from
+///    consecutive indices, combined ((a0+a1)+a2)+a3, with an ascending
+///    scalar tail. The shape depends only on n, so the scalar reference
+///    and every SIMD variant produce the same bits, and a caller that
+///    takes the exps from ExpRow gets the same z from FixedShapeSum.
 ///  - exp() is NOT glibc's: all backends share detail::ExpD, a clamped
 ///    Cody-Waite + degree-13 Horner polynomial whose operations map 1:1
 ///    onto SIMD lanes. Accuracy is ~1-2 ulp; inputs must not be NaN
@@ -48,8 +50,11 @@ namespace tgsim::nn::kernels {
 /// EVERY backend: a single-accumulator FP add chain is latency-bound, lanes
 /// cannot speed it up without changing the association, and the TGAE
 /// sparse/dense pin plus MatMul's per-column k-accumulation depend on that
-/// association. They bypass the dispatch table entirely so the compiler
-/// can keep inlining them into the generation hot loops.
+/// association. Throughput comes from keeping several independent chains
+/// in flight (one per output, as the graph attention scores four edges at
+/// a time), never from splitting one chain. They bypass the dispatch table
+/// entirely so the compiler can keep inlining them into the generation hot
+/// loops.
 
 namespace detail {
 
@@ -139,34 +144,34 @@ inline Scalar RowMax(const Scalar* TGSIM_RESTRICT x, int n) {
   return (m2 > m0 ? m2 : m0) + 0.0;
 }
 
-/// dst[i] = ExpD(x[i] - m); returns the fixed-shape sum of dst:
-/// four accumulators over the i+3 < n prefix (accumulator l takes indices
+/// The fixed-shape sum of x[0..n), n >= 0, that ExpRowSum returns: four
+/// accumulators over the i+3 < n prefix (accumulator l takes indices
 /// congruent to l mod 4), combined ((a0+a1)+a2)+a3, then an ascending
-/// scalar tail. In place allowed (dst == x).
-inline Scalar ExpRowSum(const Scalar* x, Scalar m, Scalar* dst, int n) {
+/// scalar tail.
+inline Scalar FixedShapeSum(const Scalar* TGSIM_RESTRICT x, int n) {
   Scalar a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   int i = 0;
   for (; i + 3 < n; i += 4) {
-    dst[i] = detail::ExpD(x[i] - m);
-    dst[i + 1] = detail::ExpD(x[i + 1] - m);
-    dst[i + 2] = detail::ExpD(x[i + 2] - m);
-    dst[i + 3] = detail::ExpD(x[i + 3] - m);
-    a0 += dst[i];
-    a1 += dst[i + 1];
-    a2 += dst[i + 2];
-    a3 += dst[i + 3];
+    a0 += x[i];
+    a1 += x[i + 1];
+    a2 += x[i + 2];
+    a3 += x[i + 3];
   }
   Scalar z = ((a0 + a1) + a2) + a3;
-  for (; i < n; ++i) {
-    dst[i] = detail::ExpD(x[i] - m);
-    z += dst[i];
-  }
+  for (; i < n; ++i) z += x[i];
   return z;
 }
 
 /// dst[i] = ExpD(x[i] - m), no sum. In place allowed.
 inline void ExpRow(const Scalar* x, Scalar m, Scalar* dst, int n) {
   for (int i = 0; i < n; ++i) dst[i] = detail::ExpD(x[i] - m);
+}
+
+/// dst[i] = ExpD(x[i] - m); returns FixedShapeSum(dst, n). In place
+/// allowed (dst == x).
+inline Scalar ExpRowSum(const Scalar* x, Scalar m, Scalar* dst, int n) {
+  ExpRow(x, m, dst, n);
+  return FixedShapeSum(dst, n);
 }
 
 /// x[i] /= z: exact per-element IEEE division (kept as a division, never

@@ -240,7 +240,9 @@ Tensor Tensor::Transpose() const {
 }
 
 Tensor Tensor::GatherRows(const std::vector<int>& map) const {
-  Tensor out(static_cast<int>(map.size()), cols_);
+  // Not zero-filled: every row is copied over.
+  Tensor out;
+  out.Allocate(static_cast<int>(map.size()), cols_);
   const int64_t row_grain = RowGrain(cols_);
   parallel::ParallelFor(
       0, static_cast<int64_t>(map.size()), row_grain,

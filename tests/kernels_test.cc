@@ -118,6 +118,25 @@ TEST(KernelBitIdentityTest, ReductionsAndExpKernels) {
     d.div_row(qd.data(), 1.75, n);
     EXPECT_TRUE(BitsEqual(qs, qd, "DivRow", n));
   }
+  // On every backend, ExpRowSum's z is FixedShapeSum over ExpRow's output:
+  // the graph attention takes its exps from one ExpRow and sums them so.
+  // n up to 17 covers the empty row, the tail alone and every tail length
+  // after one to four 4-wide steps.
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
+    const KernelOps* ops = OpsFor(b);
+    if (ops == nullptr) continue;
+    for (int n = 0; n <= 17; ++n) {
+      const std::vector<Scalar> x = MakeBuffer(n, static_cast<uint64_t>(n));
+      const Scalar m = n > 0 ? s->row_max(x.data(), n) : 0.0;
+      std::vector<Scalar> es(static_cast<size_t>(n)),
+          er(static_cast<size_t>(n));
+      const Scalar z = ops->exp_row_sum(x.data(), m, es.data(), n);
+      ops->exp_row(x.data(), m, er.data(), n);
+      EXPECT_TRUE(BitsEqual(es, er, BackendName(b), n));
+      EXPECT_TRUE(ScalarBitsEqual(z, scalar::FixedShapeSum(er.data(), n),
+                                  BackendName(b), n));
+    }
+  }
 }
 
 TEST(KernelBitIdentityTest, ElementwiseKernels) {

@@ -447,38 +447,56 @@ Var AttentionComposition(const Var& proj, const std::vector<Var>& a_heads,
 }
 
 TEST(FusedOpTest, GraphAttentionIsTheCompositionBitForBit) {
-  // 9 projection rows, 5 targets. Edges arrive unsorted, sources repeat,
+  // 12 projection rows, 6 targets. Edges arrive unsorted, sources repeat,
   // target 2 has no in-edges and row 2 sources none: the composition
   // writes a zero output row for it and passes that row no gradient.
-  const std::vector<int> src = {7, 0, 3, 1, 8, 4, 3, 0, 6, 4, 1, 5, 8};
-  const std::vector<int> dst = {4, 0, 1, 1, 3, 0, 4, 3, 1, 4, 4, 0, 3};
-  const int n_src = 9, n_dst = 5, d = 3;
-  for (int heads : {1, 2, 3}) {
-    SCOPED_TRACE(heads);
-    Rng rng = MakeRng(17);
-    const Tensor proj = Tensor::Randn(rng, n_src, heads * d);
-    std::vector<Tensor> a;
-    for (int h = 0; h < heads; ++h) a.push_back(Tensor::Randn(rng, 2 * d, 1));
-    const Tensor mix = Tensor::Randn(rng, n_dst, heads * d);
-    auto run = [&](bool fused) {
-      std::vector<Var> p = {Var::Param(proj)};
-      for (const Tensor& t : a) p.push_back(Var::Param(t));
-      for (Var& v : p) v.ZeroGrad();
-      const std::vector<Var> a_heads(p.begin() + 1, p.end());
-      Var y = fused ? GraphAttention(p[0], a_heads, src, dst, n_dst, 0.2)
-                    : AttentionComposition(p[0], a_heads, src, dst, n_dst,
-                                           0.2);
-      Backward(Sum(Mul(y, Var::Constant(mix))));
-      return std::make_pair(y, p);
-    };
-    auto [ref, ref_p] = run(false);
-    auto [got, got_p] = run(true);
-    EXPECT_TRUE(SameBits(ref.value(), got.value()));
-    for (size_t i = 0; i < ref_p.size(); ++i)
-      EXPECT_TRUE(SameBits(ref_p[i].grad(), got_p[i].grad())) << "param " << i;
-    for (int c = 0; c < heads * d; ++c) {
-      EXPECT_EQ(got.value().at(2, c), 0.0);
-      EXPECT_EQ(got_p[0].grad().at(2, c), 0.0);
+  // Target 5 has 10 in-edges, so its softmax takes RowMax's 4-lane shape
+  // and the 4-accumulator sum with a tail. 23 edges score as five groups
+  // of four chains and a tail of three.
+  const std::vector<int> src = {7, 0, 9, 3, 1,  8, 0, 4, 3, 11, 0, 6,
+                                4, 3, 1, 10, 5, 8, 7, 9, 4,  6,  1};
+  const std::vector<int> dst = {4, 0, 5, 1, 1, 3, 5, 0, 4, 5, 3, 1,
+                                4, 5, 4, 5, 0, 3, 5, 5, 5, 5, 5};
+  const int n_src = 12, n_dst = 6;
+  // Head width 16 is preset=paper's; 3 leaves lane tails everywhere.
+  for (int d : {3, 16}) {
+    for (int heads : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " heads=" << heads);
+      Rng rng = MakeRng(17);
+      const Tensor proj = Tensor::Randn(rng, n_src, heads * d);
+      std::vector<Tensor> a;
+      for (int h = 0; h < heads; ++h)
+        a.push_back(Tensor::Randn(rng, 2 * d, 1));
+      const Tensor mix = Tensor::Randn(rng, n_dst, heads * d);
+      auto run = [&](bool fused) {
+        std::vector<Var> p = {Var::Param(proj)};
+        for (const Tensor& t : a) p.push_back(Var::Param(t));
+        for (Var& v : p) v.ZeroGrad();
+        const std::vector<Var> a_heads(p.begin() + 1, p.end());
+        Var y = fused ? GraphAttention(p[0], a_heads, src, dst, n_dst, 0.2)
+                      : AttentionComposition(p[0], a_heads, src, dst, n_dst,
+                                             0.2);
+        Backward(Sum(Mul(y, Var::Constant(mix))));
+        return std::make_pair(y, p);
+      };
+      auto [ref, ref_p] = run(false);
+      auto [got, got_p] = run(true);
+      EXPECT_TRUE(SameBits(ref.value(), got.value()));
+      for (size_t i = 0; i < ref_p.size(); ++i)
+        EXPECT_TRUE(SameBits(ref_p[i].grad(), got_p[i].grad()))
+            << "param " << i;
+      for (int c = 0; c < heads * d; ++c) {
+        EXPECT_EQ(got.value().at(2, c), 0.0);
+        EXPECT_EQ(got_p[0].grad().at(2, c), 0.0);
+      }
+      // Without a tape the op computes the same value.
+      NoGradScope no_grad;
+      std::vector<Var> a_heads;
+      for (const Tensor& t : a) a_heads.push_back(Var::Param(t));
+      EXPECT_TRUE(SameBits(got.value(),
+                           GraphAttention(Var::Param(proj), a_heads, src, dst,
+                                          n_dst, 0.2)
+                               .value()));
     }
   }
 }
